@@ -20,8 +20,11 @@ vet:
 build:
 	$(GO) build ./...
 
+# Tier-1 runs at GOMAXPROCS=1 and at the host's CPU count: results must
+# not depend on the core count, and a plain GOMAXPROCS=1 rerun would be
+# served from the test cache, which does not key on that variable.
 test:
-	$(GO) test ./...
+	$(GO) test -cpu 1,$$(nproc) ./...
 
 # Race-instrumented run of the whole module. The LP branch-and-bound
 # time budget auto-scales under the race build tag (internal/lp/race_on.go)

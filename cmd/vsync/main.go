@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"virtualsync"
-	"virtualsync/internal/sim"
 )
 
 func main() {
@@ -194,46 +193,25 @@ func runECO(ctx context.Context, out io.Writer, base *virtualsync.Circuit, lib *
 	return writeOut(out, outPath, res.Circuit)
 }
 
-// verifyPair runs functional-equivalence simulation and reports the
-// outcome. With lanes > 1 both sides run bit-parallel over that many
-// independent stimulus vectors first; a clean pass is accepted as is,
-// while every flagged lane is re-confirmed through the scalar
-// event-engine oracle, which has the final word on any failure.
+// verifyPair runs functional-equivalence simulation over lanes
+// independent stimulus vectors and reports the outcome.
 func verifyPair(out io.Writer, a, b *virtualsync.Circuit, lib *virtualsync.Library, Ta, Tb float64, cycles, lanes int) error {
-	if lanes > 1 {
-		lr, err := virtualsync.VerifyEquivalenceLanes(a, b, lib, Ta, Tb, cycles, 8, lanes, 1)
-		if err == nil && !lr.Fail() {
-			fmt.Fprintf(out, "  functional equivalence: OK over %d cycles x %d lanes\n", cycles, lr.Lanes)
-			return nil
-		}
-		if err == nil {
-			fmt.Fprintf(out, "  bit-parallel equivalence flagged %d of %d lanes; re-confirming on the event engine\n",
-				lr.FlaggedLanes(), lr.Lanes)
-			stims := sim.LaneStimulus(a, cycles, 0, 1, lanes)
-			for l := 0; l < lanes; l++ {
-				if !sim.MaskHasLane(lr.Mask, l) {
-					continue
-				}
-				ms, err := sim.VerifyEquivalenceStim(a, b, lib, Ta, Tb, 8, stims[l])
-				if err != nil {
-					return err
-				}
-				if len(ms) != 0 {
-					return fmt.Errorf("functional equivalence: lane %d: %d mismatches over %d cycles (first: %v)",
-						l, len(ms), cycles, ms[0])
-				}
-			}
-			fmt.Fprintf(out, "  event engine confirmed none of the flagged lanes; keeping the scalar verdict\n")
-		}
-	}
-	ms, err := virtualsync.VerifyEquivalence(a, b, lib, Ta, Tb, cycles, 8, 1)
+	rep, err := virtualsync.CheckEquivalence(a, b, lib, Ta, Tb, cycles, 8, max(lanes, 1), 1)
 	if err != nil {
 		return err
 	}
-	if len(ms) != 0 {
-		return fmt.Errorf("functional equivalence: %d mismatches over %d cycles (first: %v)", len(ms), cycles, ms[0])
+	if ms := rep.Mismatches; len(ms) != 0 {
+		lane := ""
+		if rep.FailLane > 0 {
+			lane = fmt.Sprintf("lane %d: ", rep.FailLane)
+		}
+		return fmt.Errorf("functional equivalence: %s%d mismatches over %d cycles (first: %v)", lane, len(ms), cycles, ms[0])
 	}
-	fmt.Fprintf(out, "  functional equivalence: OK over %d cycles\n", cycles)
+	if rep.Lanes > 1 {
+		fmt.Fprintf(out, "  functional equivalence: OK over %d cycles x %d lanes\n", cycles, rep.Lanes)
+	} else {
+		fmt.Fprintf(out, "  functional equivalence: OK over %d cycles\n", cycles)
+	}
 	return nil
 }
 

@@ -848,75 +848,22 @@ func (s *Server) buildResult(ctx context.Context, j *job, base *netlist.Circuit,
 	return out, nil
 }
 
-// verifyEquivalence fills out's equivalence fields. With VerifyLanes
-// > 1 both sides run bit-parallel (zero-delay BitSim where provably
-// exact, the word-parallel continuous-time WaveSim otherwise), lane 0
-// is re-simulated on the scalar event engine as a calibration check,
-// and any disagreeing lane is re-confirmed through the full
-// two-event-sim oracle before the job reports a mismatch — the same
-// discipline as internal/verify's fast path. Engine or calibration
-// trouble falls back to the historical single-lane event path.
+// verifyEquivalence fills out's equivalence fields from
+// sim.CheckEquivalence over VerifyLanes stimulus lanes (0 or 1: the
+// historical single vector on the event oracle).
 func (s *Server) verifyEquivalence(j *job, base *netlist.Circuit, res *core.Result, out *JobResult, warmup int) error {
 	const verifySeed = 1
-	cycles := j.params.VerifyCycles
-	if lanes := j.params.VerifyLanes; lanes > 1 {
-		stims := sim.LaneStimulus(base, cycles, 0, verifySeed, lanes)
-		ok, mismatches, err := s.verifyLanes(j, base, res, warmup, stims)
-		if err == nil {
-			out.EquivOK = &ok
-			out.Mismatches = mismatches
-			out.VerifiedLanes = lanes
-			s.mVerifiedLanes.Add(float64(lanes))
-			return nil
-		}
-	}
-	ms, err := sim.VerifyEquivalence(base, res.Circuit, j.lib,
-		res.BaselinePeriod, res.Period, cycles, warmup, verifySeed)
+	lanes := max(j.params.VerifyLanes, 1)
+	stims := sim.LaneStimulus(base, j.params.VerifyCycles, 0, verifySeed, lanes)
+	er, err := sim.CheckEquivalence(base, res.Circuit, j.lib,
+		res.BaselinePeriod, res.Period, warmup, stims)
 	if err != nil {
 		return err
 	}
-	ok := len(ms) == 0
+	ok := len(er.Mismatches) == 0
 	out.EquivOK = &ok
-	out.Mismatches = len(ms)
-	out.VerifiedLanes = 1
-	s.mVerifiedLanes.Add(1)
+	out.Mismatches = len(er.Mismatches)
+	out.VerifiedLanes = er.Lanes
+	s.mVerifiedLanes.Add(float64(er.Lanes))
 	return nil
-}
-
-// verifyLanes is the bit-parallel arm of verifyEquivalence.
-func (s *Server) verifyLanes(j *job, base *netlist.Circuit, res *core.Result, warmup int, stims [][][]bool) (ok bool, mismatches int, err error) {
-	lr, err := sim.VerifyEquivalenceLanes(base, res.Circuit, j.lib,
-		res.BaselinePeriod, res.Period, warmup, stims)
-	if err != nil {
-		return false, 0, err
-	}
-	lane0, err := lr.TraceB.Lane(0)
-	if err != nil {
-		return false, 0, err
-	}
-	ev, err := sim.New(res.Circuit, j.lib, sim.Options{T: res.Period, Cycles: len(stims[0])})
-	if err != nil {
-		return false, 0, err
-	}
-	tr, err := ev.Run(stims[0])
-	if err != nil {
-		return false, 0, err
-	}
-	if len(sim.CompareTraces(tr, lane0, warmup)) > 0 {
-		return false, 0, fmt.Errorf("lane-0 calibration failed")
-	}
-	for l := range stims {
-		if !sim.MaskHasLane(lr.Mask, l) {
-			continue
-		}
-		ms, err := sim.VerifyEquivalenceStim(base, res.Circuit, j.lib,
-			res.BaselinePeriod, res.Period, warmup, stims[l])
-		if err != nil {
-			return false, 0, err
-		}
-		if len(ms) > 0 {
-			return false, len(ms), nil
-		}
-	}
-	return true, 0, nil
 }

@@ -142,6 +142,31 @@ func TestSubmitRunsPipeline(t *testing.T) {
 	}
 }
 
+// TestVerifyLanes covers the equivalence fields of a job result: 0 or
+// 1 verify_lanes is the single historical vector on the event oracle,
+// wider requests are credited with every verified lane.
+func TestVerifyLanes(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	for _, tc := range []struct{ lanes, want int }{{0, 1}, {1, 1}, {64, 64}} {
+		st, code := submitJob(t, ts, JobRequest{Netlist: tinyBench, Name: "tiny",
+			Params: Params{VerifyCycles: 32, VerifyLanes: tc.lanes}})
+		if code != http.StatusAccepted {
+			t.Fatalf("verify_lanes %d: HTTP %d, want 202", tc.lanes, code)
+		}
+		st = waitTerminal(t, ts, st.ID)
+		if st.State != StateDone {
+			t.Fatalf("verify_lanes %d: job ended %s: %s", tc.lanes, st.State, st.Error)
+		}
+		r := st.Result
+		if r.EquivOK == nil || !*r.EquivOK || r.Mismatches != 0 {
+			t.Fatalf("verify_lanes %d: equiv_ok %v, %d mismatches", tc.lanes, r.EquivOK, r.Mismatches)
+		}
+		if r.VerifiedLanes != tc.want {
+			t.Errorf("verify_lanes %d: %d verified lanes, want %d", tc.lanes, r.VerifiedLanes, tc.want)
+		}
+	}
+}
+
 func TestSubmitRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	cases := []struct {

@@ -172,3 +172,151 @@ func VerifyEquivalenceLanes(a, b *netlist.Circuit, lib *celllib.Library, Ta, Tb 
 		TraceB:  tb,
 	}, nil
 }
+
+// confirmLaneCap bounds how many flagged lanes CheckEquivalence
+// confirms on the event engine; flags beyond it are not credited.
+const confirmLaneCap = 8
+
+// EquivReport is the verdict of CheckEquivalence.
+type EquivReport struct {
+	// Lanes counts the stimulus lanes the verdict covers: 1 when the
+	// event oracle decided, the full width on a fast-path pass with no
+	// flags or on a confirmed failure, and the full width less every
+	// flagged lane the event engine did not clear otherwise.
+	Lanes int
+	// FastPath marks verdicts produced by the bit-parallel engines with
+	// lane-0 event-engine calibration; false means the event oracle ran.
+	FastPath bool
+	// FailLane is the lane being simulated when the event engine
+	// reported a mismatch or an error; -1 otherwise.
+	FailLane int
+	// Mismatches are the event-engine trace differences on FailLane;
+	// empty means equivalent over every credited lane.
+	Mismatches []Mismatch
+}
+
+// CheckEquivalence decides whether b is cycle-accurate equivalent to a
+// (a at period Ta, b at Tb) over the per-lane stimulus stims, comparing
+// every common flip-flop and primary output from cycle warmup onward.
+// Lane 0 is the historical single-vector stimulus.
+//
+// The scalar event engine is the authority; the bit-parallel engines
+// only widen coverage. One lane runs the event oracle on both sides.
+// Wider stimulus runs both sides through VerifyEquivalenceLanes, and
+// lane 0 of each word engine must reproduce the event engine's trace
+// (the optimized side always, the original too when it needed WaveSim)
+// before any wide verdict is trusted. An engine error, a calibration
+// miss or a lane-0 disagreement falls back to the event oracle on lane
+// 0, so every lane-0 verdict is that oracle's, byte for byte. Flagged
+// wider lanes are confirmed on the event engine lowest-first, up to
+// confirmLaneCap of them; a confirmed lane is re-verified through
+// VerifyEquivalenceStim before it fails, and flags the event engine
+// neither clears nor confirms are subtracted from the credited width.
+//
+// The report is never nil. A non-nil error is an event-engine failure
+// (or unusable input) and is itself the verdict: callers must not read
+// it as a pass. FailLane then names the lane being simulated.
+func CheckEquivalence(a, b *netlist.Circuit, lib *celllib.Library, Ta, Tb float64, warmup int, stims [][][]bool) (*EquivReport, error) {
+	rep := &EquivReport{FailLane: -1}
+	if len(stims) == 0 {
+		return rep, fmt.Errorf("sim: no stimulus lanes")
+	}
+	// oracle is the pure event-engine check on lane 0.
+	oracle := func() (*EquivReport, error) {
+		r := &EquivReport{Lanes: 1, FailLane: -1}
+		ms, err := VerifyEquivalenceStim(a, b, lib, Ta, Tb, warmup, stims[0])
+		if err != nil {
+			return r, err
+		}
+		if len(ms) > 0 {
+			r.FailLane, r.Mismatches = 0, ms
+		}
+		return r, nil
+	}
+	if len(stims) == 1 {
+		return oracle()
+	}
+	lr, err := VerifyEquivalenceLanes(a, b, lib, Ta, Tb, warmup, stims)
+	if err != nil {
+		// An engine rejected the pair (e.g. a zero-delay settle
+		// failure): not a verdict.
+		return oracle()
+	}
+
+	// Calibration. An event-engine error on the optimized side is a
+	// verdict, as on the oracle path; WaveSim is exact by construction,
+	// so a lane-0 miss means an engine bug and the oracle decides.
+	cycles := len(stims[0])
+	evB, err := New(b, lib, Options{T: Tb, Cycles: cycles})
+	if err != nil {
+		return rep, err
+	}
+	trB, err := evB.Run(stims[0])
+	if err != nil {
+		return rep, err
+	}
+	laneB, err := lr.TraceB.Lane(0)
+	if err != nil || len(CompareTraces(trB, laneB, warmup)) > 0 {
+		return oracle()
+	}
+	laneA, err := lr.TraceA.Lane(0)
+	if err != nil {
+		return oracle()
+	}
+	if lr.EngineA == EngineWaveSim {
+		evA, err := New(a, lib, Options{T: Ta, Cycles: cycles})
+		if err != nil {
+			return oracle()
+		}
+		trA, err := evA.Run(stims[0])
+		if err != nil || len(CompareTraces(trA, laneA, warmup)) > 0 {
+			return oracle()
+		}
+	}
+	if len(CompareTraces(laneA, trB, warmup)) > 0 {
+		// A lane-0 counterexample must come from the event engine on
+		// both sides.
+		return oracle()
+	}
+	rep.FastPath = true
+	rep.Lanes = 1
+
+	lanes := len(stims)
+	if MaskLanes(lr.Mask) == 0 {
+		rep.Lanes = lanes
+		return rep, nil
+	}
+	// Lane 0 cannot be flagged here: both word engines agree with trB.
+	// A lane the event engine clears was an engine artifact.
+	cleared, checked := 0, 0
+	for l := 1; l < lanes && checked < confirmLaneCap; l++ {
+		if !MaskHasLane(lr.Mask, l) {
+			continue
+		}
+		checked++
+		trL, err := evB.Run(stims[l])
+		if err != nil {
+			rep.FailLane = l
+			return rep, err
+		}
+		laneL, err := lr.TraceA.Lane(l)
+		if err != nil {
+			break
+		}
+		if len(CompareTraces(laneL, trL, warmup)) == 0 {
+			cleared++
+			continue
+		}
+		ms, err := VerifyEquivalenceStim(a, b, lib, Ta, Tb, warmup, stims[l])
+		if err != nil {
+			rep.FailLane = l
+			return rep, err
+		}
+		if len(ms) > 0 {
+			rep.Lanes, rep.FailLane, rep.Mismatches = lanes, l, ms
+			return rep, nil
+		}
+	}
+	rep.Lanes = lanes - MaskLanes(lr.Mask) + cleared
+	return rep, nil
+}

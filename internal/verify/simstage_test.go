@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,156 +11,47 @@ import (
 	"virtualsync/internal/sim"
 )
 
-// fakeResult wraps a hand-built "optimized" circuit in the result shape
-// simStage consumes, so each engine-selection and re-confirmation path
-// can be pinned without steering the optimizer into producing it.
-func fakeResult(c *netlist.Circuit, baseT, T float64) *core.Result {
-	return &core.Result{Circuit: c, BaselinePeriod: baseT, Period: T}
-}
-
-// longPath builds in -> F1 -> NOT g1 -> NOT g2 -> NOT g3 -> F2 -> out:
-// structurally BitSim-exact, but with a three-gate combinational path
-// that outlives short clock periods.
-func longPath(t *testing.T) *netlist.Circuit {
-	t.Helper()
-	c := netlist.New("longpath")
-	in := c.MustAdd("in", netlist.KindInput)
-	f1 := c.MustAdd("F1", netlist.KindDFF, in.ID)
-	g1 := c.MustAdd("g1", netlist.KindNot, f1.ID)
-	g2 := c.MustAdd("g2", netlist.KindNot, g1.ID)
-	g3 := c.MustAdd("g3", netlist.KindNot, g2.ID)
-	f2 := c.MustAdd("F2", netlist.KindDFF, g3.ID)
-	c.MustAdd("out", netlist.KindOutput, f2.ID)
-	return c
-}
-
-// TestSimStageWaveBothSides drives simStage with a period short enough
-// that BOTH sides leave BitSim's proven-exact domain: the original runs
-// WaveSim too, so its extra event-engine calibration leg must execute
-// and the wide verdict must still come back clean.
-func TestSimStageWaveBothSides(t *testing.T) {
-	ck := NewChecker()
-	c := longPath(t)
-	d, err := ck.Lib.Delay(c.ByName("g1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two of the three gate delays: the path cannot settle, waves overlap.
-	T := ck.Lib.FF.Tcq + 2*d
-	dec := &gen.Decoded{Circuit: c, Cycles: 20, Warmup: 4, StimSeed: 3}
-	rep := &Report{Outcome: Pass}
-	ck.simStage(dec, fakeResult(c.Clone(), T, T), rep)
-	if rep.Outcome != Pass {
-		t.Fatalf("identical wave-regime pair failed: %+v", rep)
-	}
-	if !rep.FastPath {
-		t.Fatal("wave-regime pair did not take the bit-parallel fast path")
-	}
-	if rep.Lanes != ck.LaneWidth() {
-		t.Fatalf("credited %d lanes, want %d", rep.Lanes, ck.LaneWidth())
-	}
-}
-
-// TestSimStageLaneZeroFail pins the lane-0 discipline: a difference the
-// historical stimulus exposes must be re-confirmed through the pure
-// two-event-sim oracle, producing the byte-identical slow-path report
-// (Lanes 1, FailLane 0, no FastPath claim).
-func TestSimStageLaneZeroFail(t *testing.T) {
-	ck := NewChecker()
-	orig := netlist.New("p")
-	in := orig.MustAdd("in", netlist.KindInput)
-	f1 := orig.MustAdd("F1", netlist.KindDFF, in.ID)
-	g := orig.MustAdd("g", netlist.KindNot, f1.ID)
-	f2 := orig.MustAdd("F2", netlist.KindDFF, g.ID)
-	orig.MustAdd("out", netlist.KindOutput, f2.ID)
-
-	broken := orig.Clone()
-	broken.ByName("g").Kind = netlist.KindBuf
-	dec := &gen.Decoded{Circuit: orig, Cycles: 16, Warmup: 4, StimSeed: 5}
-	rep := &Report{Outcome: Pass}
-	ck.simStage(dec, fakeResult(broken, 1000, 1000), rep)
-	if rep.Outcome != Fail || rep.FailLane != 0 {
-		t.Fatalf("inverter-vs-buffer pair: %+v, want Fail at lane 0", rep)
-	}
-	if rep.FastPath || rep.Lanes != 1 {
-		t.Fatalf("lane-0 failure must report the scalar oracle shape, got fast=%v lanes=%d", rep.FastPath, rep.Lanes)
-	}
-	if len(rep.Mismatches) == 0 {
-		t.Fatal("lane-0 failure carries no mismatches")
-	}
-}
-
-// TestSimStageFlaggedLaneFail builds a bug only a widened lane exposes —
-// the circuits differ exactly when all four inputs are 1 in one cycle,
-// and the stimulus seed is chosen so lane 0 never produces that pattern
-// while some wider lane does. simStage must walk the flagged lanes,
-// confirm the difference on the event engine, re-verify it through the
-// full two-event-sim oracle, and fail naming the lane.
+// TestSimStageFlaggedLaneFail pins how simStage maps a verdict onto
+// the report (the verdict policy itself is pinned in internal/sim): a
+// failure only a widened lane exposes must Fail at stage "sim" with a
+// detail naming that lane and the authoritative mismatches attached.
+// The pair differs exactly when all three inputs are 1 in one cycle, so
+// some stimulus seeds leave lane 0 clean while a wider lane fails.
 func TestSimStageFlaggedLaneFail(t *testing.T) {
-	build := func(dropD bool) *netlist.Circuit {
-		c := netlist.New("and4")
+	build := func(dropC bool) *netlist.Circuit {
+		c := netlist.New("and3")
 		a := c.MustAdd("a", netlist.KindInput)
 		b := c.MustAdd("b", netlist.KindInput)
-		cc := c.MustAdd("c", netlist.KindInput)
-		dd := c.MustAdd("d", netlist.KindInput)
-		last := dd.ID
-		if dropD {
+		last := c.MustAdd("c", netlist.KindInput).ID
+		if dropC {
 			last = c.MustAdd("zero", netlist.KindConst0).ID
 		}
 		g1 := c.MustAdd("g1", netlist.KindAnd, a.ID, b.ID)
-		g2 := c.MustAdd("g2", netlist.KindAnd, cc.ID, last)
-		g3 := c.MustAdd("g3", netlist.KindAnd, g1.ID, g2.ID)
-		f := c.MustAdd("F", netlist.KindDFF, g3.ID)
+		g2 := c.MustAdd("g2", netlist.KindAnd, g1.ID, last)
+		f := c.MustAdd("F", netlist.KindDFF, g2.ID)
 		c.MustAdd("out", netlist.KindOutput, f.ID)
 		return c
 	}
-	orig := build(false)
-
 	ck := NewChecker()
-	const cycles, warmup = 16, 4
-	lanes := ck.LaneWidth()
-	seed, flagged := int64(-1), -1
-	allOnes := func(cyc []bool) bool { return cyc[0] && cyc[1] && cyc[2] && cyc[3] }
-	for s := int64(1); s < 400 && seed < 0; s++ {
-		stims := sim.LaneStimulus(orig, cycles, 0, s, lanes)
-		hit0 := false
-		for _, cyc := range stims[0] {
-			hit0 = hit0 || allOnes(cyc)
+	res := &core.Result{Circuit: build(true), BaselinePeriod: 1000, Period: 1000}
+	for seed := int64(1); seed < 200; seed++ {
+		rep := &Report{Outcome: Pass, FailLane: -1}
+		ck.simStage(&gen.Decoded{Circuit: build(false), Cycles: 16, Warmup: 4, StimSeed: seed}, res, rep)
+		if rep.Outcome != Fail || rep.Stage != "sim" {
+			t.Fatalf("seed %d: differing pair reported %v", seed, rep)
 		}
-		if hit0 {
+		if rep.FailLane < 1 {
 			continue
 		}
-		for l := 1; l < lanes; l++ {
-			for cyc := warmup; cyc < cycles-1; cyc++ {
-				if allOnes(stims[l][cyc]) {
-					seed, flagged = s, l
-					break
-				}
-			}
-			if seed >= 0 {
-				break
-			}
+		if want := fmt.Sprintf("lane %d: ", rep.FailLane); !strings.HasPrefix(rep.Detail, want) {
+			t.Fatalf("detail %q does not name failing lane %d", rep.Detail, rep.FailLane)
 		}
+		if len(rep.Mismatches) == 0 {
+			t.Fatal("flagged-lane failure carries no authoritative mismatches")
+		}
+		return
 	}
-	if seed < 0 {
-		t.Fatal("no stimulus seed separates lane 0 from the wider lanes")
-	}
-
-	dec := &gen.Decoded{Circuit: orig, Cycles: cycles, Warmup: warmup, StimSeed: seed}
-	rep := &Report{Outcome: Pass}
-	ck.simStage(dec, fakeResult(build(true), 1000, 1000), rep)
-	if rep.Outcome != Fail {
-		t.Fatalf("lane-%d-only bug not detected: %+v", flagged, rep)
-	}
-	if rep.FailLane < 1 {
-		t.Fatalf("failure attributed to lane %d, want a widened lane", rep.FailLane)
-	}
-	if !strings.HasPrefix(rep.Detail, "lane ") {
-		t.Fatalf("detail %q does not name the failing lane", rep.Detail)
-	}
-	if len(rep.Mismatches) == 0 {
-		t.Fatal("flagged-lane failure carries no authoritative mismatches")
-	}
+	t.Fatal("no stimulus seed left lane 0 clean")
 }
 
 // TestLaneWidth pins the lane-width resolution: default, passthrough,

@@ -225,20 +225,18 @@ func VerifyEquivalence(a, b *Circuit, lib *Library, Ta, Tb float64, cycles, warm
 	return sim.VerifyEquivalence(a, b, lib, Ta, Tb, cycles, warmup, seed)
 }
 
-// LaneReport summarizes a bit-parallel differential simulation; see
-// sim.LaneReport.
-type LaneReport = sim.LaneReport
+// EquivReport is the verdict of CheckEquivalence; see sim.EquivReport.
+type EquivReport = sim.EquivReport
 
-// VerifyEquivalenceLanes is VerifyEquivalence widened to lanes
-// independent stimulus vectors (up to sim.MaxLanes = 4096) evaluated
-// bit-parallel: each side runs on the zero-delay engine where that is
-// provably exact and on the word-parallel continuous-time engine
-// otherwise, so wave-pipelined optimized circuits verify bit-parallel
-// too. Lane 0 uses seed itself, reproducing the VerifyEquivalence
-// stimulus. The report's Mask flags disagreeing lanes; Fail() is the
-// aggregate verdict.
-func VerifyEquivalenceLanes(a, b *Circuit, lib *Library, Ta, Tb float64, cycles, warmup, lanes int, seed int64) (*LaneReport, error) {
-	return sim.VerifyEquivalenceLanes(a, b, lib, Ta, Tb, warmup, sim.LaneStimulus(a, cycles, 0, seed, lanes))
+// CheckEquivalence is VerifyEquivalence widened to lanes independent
+// stimulus vectors (up to sim.MaxLanes = 4096; 1 runs the event engine
+// alone). Lane 0 uses seed itself, reproducing the VerifyEquivalence
+// stimulus. Wider lanes run bit-parallel, calibrated on lane 0 against
+// the event engine, which also confirms every failure; see
+// sim.CheckEquivalence. An empty Mismatches means equivalent over the
+// report's Lanes.
+func CheckEquivalence(a, b *Circuit, lib *Library, Ta, Tb float64, cycles, warmup, lanes int, seed int64) (*EquivReport, error) {
+	return sim.CheckEquivalence(a, b, lib, Ta, Tb, warmup, sim.LaneStimulus(a, cycles, 0, seed, lanes))
 }
 
 // BenchmarkNames lists the paper's benchmark suite (Table 1 circuits).
