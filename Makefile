@@ -57,14 +57,15 @@ cover:
 # Short continuous-fuzzing pass: each native target gets ~20s of input
 # generation (one target per go test invocation, as the fuzzer requires),
 # then every stored regression seed is replayed, including re-injecting
-# the mutation each sensitivity seed was recorded from. Two differential
+# the mutation each sensitivity seed was recorded from. Three differential
 # targets run twice, once plain for input-generation throughput and once
 # race-instrumented: the LP target (sparse LU kernel vs the dense
 # oracle) races the lazily built row-wise views and kernel scratch
-# buffers, and the wave target (word-parallel WaveSim vs the scalar
+# buffers, the wave target (word-parallel WaveSim vs the scalar
 # event engine on optimizer-produced circuits, every lane, no
 # calibration escape) races the event arena and per-lane projection
-# state.
+# state, and the propagate target (frontier validator vs the full-sweep
+# Jacobi oracle) races the lazily built region edge index.
 FUZZTIME ?= 20s
 
 fuzz-short:
@@ -75,6 +76,8 @@ fuzz-short:
 	$(GO) test ./internal/verify -run '^$$' -fuzz FuzzWaveBitSimAgainstEventSim -fuzztime $(FUZZTIME)
 	$(GO) test -race ./internal/verify -run '^$$' -fuzz FuzzWaveBitSimAgainstEventSim -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run '^$$' -fuzz FuzzIncrementalECO -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPropagateAgainstJacobi -fuzztime $(FUZZTIME)
+	$(GO) test -race ./internal/core -run '^$$' -fuzz FuzzPropagateAgainstJacobi -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) test -race ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) run ./cmd/vfuzz replay internal/verify/testdata/regressions

@@ -337,10 +337,8 @@ func (p *Plan) spreadRepairEdge(gi int) (edge int, lateSide bool) {
 	}
 	lateEdge, earlyEdge := -1, -1
 	lateVal, earlyVal := 0.0, 0.0
-	for ei, e := range p.R.Edges {
-		if e.To.Kind != RefGate || e.To.Idx != gi {
-			continue
-		}
+	for _, e32 := range p.R.edgeIndex().faninOf(gi) {
+		ei := int(e32)
 		if lateEdge == -1 || st.oLate[ei] > lateVal {
 			lateEdge, lateVal = ei, st.oLate[ei]
 		}
@@ -505,9 +503,6 @@ func (p *Plan) tryUnitAt(ctx context.Context, ei int, kind UnitKind, phaseFrac f
 			for i := 0; i < nE; i++ {
 				p.XiReq[i] = sol.Value(mv.xi[i])
 				p.Chain[i], p.ChainDelay[i] = p.buildChain(p.XiReq[i])
-			}
-			if vs := p.Validate(); len(vs) == 0 {
-				return true
 			}
 			if vs := p.repairChains(p.Validate()); len(vs) == 0 {
 				return true

@@ -98,6 +98,65 @@ type Region struct {
 	// drive region solves from more than one goroutine.
 	statsMu sync.Mutex
 	solver  lp.Stats
+
+	// idx is the gate-to-edge index the validator walks. It is built on
+	// first use and read-only afterwards, so concurrent validations of
+	// one region (Monte Carlo workers) share it.
+	idxOnce sync.Once
+	idx     edgeIndex
+}
+
+// edgeIndex lists each gate's in-edges (fanin) and out-edges (fanout)
+// in CSR form: gate gi's in-edges are fanin[faninStart[gi]:
+// faninStart[gi+1]], in ascending edge order, and likewise for fanout.
+type edgeIndex struct {
+	faninStart, fanin   []int32
+	fanoutStart, fanout []int32
+}
+
+// edgeIndex returns the region's gate-to-edge index, building it on
+// first use.
+func (r *Region) edgeIndex() *edgeIndex {
+	r.idxOnce.Do(func() {
+		nG := len(r.Gates)
+		r.idx.faninStart, r.idx.fanin = groupEdges(nG, r.Edges, func(e Edge) NodeRef { return e.To })
+		r.idx.fanoutStart, r.idx.fanout = groupEdges(nG, r.Edges, func(e Edge) NodeRef { return e.From })
+	})
+	return &r.idx
+}
+
+// groupEdges groups edge indices in CSR form by the gate that end picks
+// out of each edge, keeping ascending edge order within a gate; edges
+// whose end is not a gate are left out.
+func groupEdges(nG int, edges []Edge, end func(Edge) NodeRef) (start, list []int32) {
+	start = make([]int32, nG+1)
+	for _, e := range edges {
+		if ref := end(e); ref.Kind == RefGate {
+			start[ref.Idx+1]++
+		}
+	}
+	for gi := 0; gi < nG; gi++ {
+		start[gi+1] += start[gi]
+	}
+	list = make([]int32, start[nG])
+	at := append([]int32(nil), start[:nG]...)
+	for ei, e := range edges {
+		if ref := end(e); ref.Kind == RefGate {
+			list[at[ref.Idx]] = int32(ei)
+			at[ref.Idx]++
+		}
+	}
+	return start, list
+}
+
+// faninOf returns gate gi's in-edges in ascending edge order.
+func (x *edgeIndex) faninOf(gi int) []int32 {
+	return x.fanin[x.faninStart[gi]:x.faninStart[gi+1]]
+}
+
+// fanoutOf returns gate gi's out-edges in ascending edge order.
+func (x *edgeIndex) fanoutOf(gi int) []int32 {
+	return x.fanout[x.fanoutStart[gi]:x.fanoutStart[gi+1]]
 }
 
 // SolverStats returns a snapshot of the LP/MIP work counters accumulated

@@ -22,10 +22,6 @@ func (v Violation) String() string {
 
 const valTol = 1e-6
 
-// bufPad is the stagger unit (in float64s, 128 bytes) between sections
-// of propagate's backing array; see the comment at the allocation site.
-const bufPad = 16
-
 // waveState holds propagated late/early arrivals for validation.
 type waveState struct {
 	late, early   []float64 // per gate output
@@ -126,56 +122,67 @@ func (p *Plan) ValidateWith(params ValidateParams) []Violation {
 // propagate computes arrival times to fixpoint. Sequential delay units
 // with flip-flop behaviour emit constants, which breaks every legal cycle;
 // a cycle without one fails to converge and is reported.
+//
+// The iteration is a frontier Jacobi: pass k recomputes only the edges
+// whose source gate changed bitwise in pass k-1, then only the gates
+// with an in-edge whose output changed bitwise in pass k (pass 0 does
+// everything). An item left out would recompute to the same bits from
+// the same inputs, so every array, the pass count and the convergence
+// verdict equal those of a full sweep over all edges and gates.
 func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 	r := p.R
 	nG, nE := len(r.Gates), len(r.Edges)
+	idx := r.edgeIndex()
 	opts := p.Opts
 	opts.Ru, opts.Rl = env.ru, env.rl
 	T := env.T
 
-	// All six working arrays come from one backing slice with a growing
-	// stagger between sections. Six separate make() calls of equal size
-	// can land on consecutive same-size-class slots — for regions whose
-	// per-edge arrays fill the 4KiB class, that puts wLate/wEarly/oLate/
-	// oEarly at identical page offsets, and the store→load pattern in the
-	// edge loop below then pays 4K-aliasing stalls (measured ~3x on the
-	// whole fixpoint, flipping with unrelated allocation history). The
-	// distinct pads keep every pair of sections off a common 4KiB stride
-	// no matter what nG and nE are.
-	buf := make([]float64, 2*nG+4*nE+15*bufPad)
-	off := 0
-	take := func(n, pad int) []float64 {
-		s := buf[off : off+n : off+n]
-		off += n + pad
+	buf := make([]float64, 2*nG+4*nE)
+	take := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
 		return s
 	}
 	st := &waveState{
-		late:   take(nG, bufPad),
-		early:  take(nG, 2*bufPad),
-		wLate:  take(nE, 3*bufPad),
-		wEarly: take(nE, 4*bufPad),
-		oLate:  take(nE, 5*bufPad),
-		oEarly: take(nE, 0),
+		late: take(nG), early: take(nG),
+		wLate: take(nE), wEarly: take(nE), oLate: take(nE), oEarly: take(nE),
 	}
 	for gi := 0; gi < nG; gi++ {
 		st.late[gi] = math.Inf(-1)
 		st.early[gi] = math.Inf(1)
 	}
 
-	fromTimes := func(e Edge) (float64, float64) {
-		switch e.From.Kind {
-		case RefGate:
-			return st.late[e.From.Idx], st.early[e.From.Idx]
-		default:
-			return r.sourceTimes(e.From.Idx, opts)
+	// Frontier lists: edges holds the edges to recompute, compacted in
+	// place to those whose output changed; gates likewise for gates.
+	// queued marks the gates already on this pass's list.
+	fr := make([]int32, nE+nG)
+	edges, gates := fr[:nE:nE], fr[nE:nE:nE+nG]
+	queued := make([]uint64, (nG+63)/64)
+	for ei := range edges {
+		edges[ei] = int32(ei)
+	}
+	for gi := 0; gi < nG; gi++ {
+		if len(idx.faninOf(gi)) > 0 {
+			gates = append(gates, int32(gi))
 		}
 	}
+	// A NaN never compares equal, so a full sweep counts an item holding
+	// one as changed on every pass; nans counts such items.
+	nans := 0
 
 	maxIter := nG + nE + 8
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
-		for ei, e := range r.Edges {
-			upL, upE := fromTimes(e)
+		out := 0
+		for _, e32 := range edges {
+			ei := int(e32)
+			e := r.Edges[ei]
+			var upL, upE float64
+			if e.From.Kind == RefGate {
+				upL, upE = st.late[e.From.Idx], st.early[e.From.Idx]
+			} else {
+				upL, upE = r.sourceTimes(e.From.Idx, opts)
+			}
 			shift := -float64(e.Lambda) * T
 			wL := upL + shift + env.cd[ei]*opts.Ru
 			wE := upE + shift + env.cd[ei]*opts.Rl
@@ -205,19 +212,30 @@ func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 					changed = true
 				}
 			}
+			nans += anyNaN(wL, wE, oL, oE) - anyNaN(st.wLate[ei], st.wEarly[ei], st.oLate[ei], st.oEarly[ei])
+			if !sameBits(oL, st.oLate[ei]) || !sameBits(oE, st.oEarly[ei]) {
+				edges[out] = e32
+				out++
+			}
 			st.wLate[ei], st.wEarly[ei] = wL, wE
 			st.oLate[ei], st.oEarly[ei] = oL, oE
 		}
-		for gi, gid := range r.Gates {
-			_ = gid
+		if iter > 0 {
+			gates = gates[:0]
+			for _, e32 := range edges[:out] {
+				if to := r.Edges[e32].To; to.Kind == RefGate && queued[to.Idx/64]&(1<<(to.Idx%64)) == 0 {
+					queued[to.Idx/64] |= 1 << (to.Idx % 64)
+					gates = append(gates, int32(to.Idx))
+				}
+			}
+		}
+		out = 0
+		for _, g32 := range gates {
+			gi := int(g32)
+			queued[gi/64] &^= 1 << (gi % 64)
 			lateIn := math.Inf(-1)
 			earlyIn := math.Inf(1)
-			found := false
-			for ei, e := range r.Edges {
-				if e.To.Kind != RefGate || e.To.Idx != gi {
-					continue
-				}
-				found = true
+			for _, ei := range idx.faninOf(gi) {
 				if st.oLate[ei] > lateIn {
 					lateIn = st.oLate[ei]
 				}
@@ -225,24 +243,40 @@ func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 					earlyIn = st.oEarly[ei]
 				}
 			}
-			if !found {
-				continue
-			}
 			nl := lateIn + env.gd[gi]*opts.Ru
 			ne := earlyIn + env.gd[gi]*opts.Rl
 			if !sameOrBothInf(nl, st.late[gi]) || !sameOrBothInf(ne, st.early[gi]) {
 				changed = true
 			}
+			nans += anyNaN(nl, ne, 0, 0) - anyNaN(st.late[gi], st.early[gi], 0, 0)
+			if !sameBits(nl, st.late[gi]) || !sameBits(ne, st.early[gi]) {
+				gates[out] = g32
+				out++
+			}
 			st.late[gi], st.early[gi] = nl, ne
 		}
-		if !changed {
+		if !changed && nans == 0 {
 			return st, nil
+		}
+		edges = edges[:0]
+		for _, g32 := range gates[:out] {
+			edges = append(edges, idx.fanoutOf(int(g32))...)
 		}
 	}
 	return nil, []Violation{{
 		Check: "convergence", Edge: -1, Gate: -1,
 		Msg: "arrival times did not converge: a feedback structure lacks a flip-flop delay unit",
 	}}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// anyNaN reports 1 when any argument is NaN, else 0.
+func anyNaN(a, b, c, d float64) int {
+	if a != a || b != b || c != c || d != d {
+		return 1
+	}
+	return 0
 }
 
 func sameOrBothInf(a, b float64) bool {

@@ -113,21 +113,33 @@ type KernelStats struct {
 	Bump      int // non-triangular bump size of the last factorization
 }
 
-// denseKernel is the historical dense B⁻¹, kept verbatim: it is the
-// differential oracle the LU kernel is property-tested against, and the
-// default for small problems so existing pivot sequences (and golden
-// outputs) are preserved bit-for-bit.
+// denseKernel is the dense B⁻¹ kernel: the differential oracle the LU
+// kernel is property-tested against, and the default for small problems
+// so existing pivot sequences (and golden outputs) are preserved
+// bit-for-bit. It is bit-identical to the original full-row kernel (kept
+// in kernel_ref_test.go): update and btran skip only terms that are zero.
 type denseKernel struct {
 	p    *problem
 	binv [][]float64 // dense B⁻¹, m×m, rows in slot space
+	// lo/hi bound each row's nonzeros: binv[i][kk] == 0 outside
+	// [lo[i], hi[i]). The range only widens, except on the pivot row.
+	lo, hi []int32
+	nz     []int32 // scratch: nonzero columns of the scaled pivot row
 }
 
 func newDenseKernel(p *problem) *denseKernel {
-	k := &denseKernel{p: p, binv: make([][]float64, p.m)}
+	k := &denseKernel{
+		p:    p,
+		binv: make([][]float64, p.m),
+		lo:   make([]int32, p.m),
+		hi:   make([]int32, p.m),
+		nz:   make([]int32, 0, p.m),
+	}
 	flat := make([]float64, p.m*p.m)
 	for i := range k.binv {
 		k.binv[i] = flat[i*p.m : (i+1)*p.m]
 		k.binv[i][i] = 1
+		k.lo[i], k.hi[i] = int32(i), int32(i+1)
 	}
 	return k
 }
@@ -167,9 +179,10 @@ func (k *denseKernel) btran(cB, y []float64) {
 		if c == 0 {
 			continue
 		}
-		for kk, v := range k.binv[i] {
+		lo := int(k.lo[i])
+		for kk, v := range k.binv[i][lo:k.hi[i]] {
 			if v != 0 {
-				y[kk] += c * v
+				y[lo+kk] += c * v
 			}
 		}
 	}
@@ -183,18 +196,29 @@ func (k *denseKernel) btranUnit(slot int, rho []float64) {
 // slot (alpha already holds B⁻¹A_e). Sub-epsilon multipliers are skipped
 // and sub-epsilon residues zeroed after each row update, so numerical
 // dust neither spreads through B⁻¹ nor creeps into later ratio tests.
+// Only the pivot row's nonzero columns are visited in the other rows.
 func (k *denseKernel) update(slot, e int, alpha []float64) bool {
 	br := k.binv[slot]
 	inv := 1 / alpha[slot]
-	for kk, v := range br {
-		if v != 0 {
+	nz := k.nz[:0]
+	for kk := k.lo[slot]; kk < k.hi[slot]; kk++ {
+		if v := br[kk]; v != 0 {
 			v *= inv
 			if v < dropTol && v > -dropTol {
 				v = 0
+			} else {
+				nz = append(nz, kk)
 			}
 			br[kk] = v
 		}
 	}
+	k.nz = nz
+	if len(nz) == 0 {
+		k.lo[slot], k.hi[slot] = 0, 0
+		return false
+	}
+	nzLo, nzHi := nz[0], nz[len(nz)-1]+1
+	k.lo[slot], k.hi[slot] = nzLo, nzHi
 	for i := range k.binv {
 		if i == slot {
 			continue
@@ -204,15 +228,22 @@ func (k *denseKernel) update(slot, e int, alpha []float64) bool {
 			continue
 		}
 		bi := k.binv[i]
-		for kk, w := range br {
-			if w == 0 {
-				continue
-			}
-			v := bi[kk] - a*w
+		for _, kk := range nz {
+			v := bi[kk] - a*br[kk]
 			if v < dropTol && v > -dropTol {
 				v = 0
 			}
 			bi[kk] = v
+		}
+		if k.lo[i] >= k.hi[i] {
+			k.lo[i], k.hi[i] = nzLo, nzHi
+			continue
+		}
+		if nzLo < k.lo[i] {
+			k.lo[i] = nzLo
+		}
+		if nzHi > k.hi[i] {
+			k.hi[i] = nzHi
 		}
 	}
 	return false

@@ -751,7 +751,13 @@ func solveLP(ctx context.Context, p *problem, lb, ub []float64, seed *Basis, kin
 		// Singleton-row presolve found crossed bounds at compile time.
 		return &lpResult{status: Infeasible}, nil
 	}
-	s := newSolver(ctx, p, lb, ub, kind)
+	return newSolver(ctx, p, lb, ub, kind).solve(seed)
+}
+
+// solve runs the two-phase simplex from the solver's fresh all-slack
+// state, optionally seeded from a prior basis.
+func (s *solver) solve(seed *Basis) (*lpResult, error) {
+	p, lb, ub := s.p, s.lb, s.ub
 	warm := false
 	if seed != nil {
 		if s.kind == KernelLU {
