@@ -57,11 +57,13 @@ cover:
 # Short continuous-fuzzing pass: each native target gets ~20s of input
 # generation (one target per go test invocation, as the fuzzer requires),
 # then every stored regression seed is replayed, including re-injecting
-# the mutation each sensitivity seed was recorded from. Three differential
+# the mutation each sensitivity seed was recorded from. Four differential
 # targets run twice, once plain for input-generation throughput and once
 # race-instrumented: the LP target (sparse LU kernel vs the dense
 # oracle) races the lazily built row-wise views and kernel scratch
-# buffers, the wave target (word-parallel WaveSim vs the scalar
+# buffers, the refutation target (bound propagation vs the simplex
+# alone) races the row-wise views and the pooled dense kernels, the
+# wave target (word-parallel WaveSim vs the scalar
 # event engine on optimizer-produced circuits, every lane, no
 # calibration escape) races the event arena and per-lane projection
 # state, and the propagate target (frontier validator vs the full-sweep
@@ -80,6 +82,8 @@ fuzz-short:
 	$(GO) test -race ./internal/core -run '^$$' -fuzz FuzzPropagateAgainstJacobi -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) test -race ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzRefuteAgainstSimplex -fuzztime $(FUZZTIME)
+	$(GO) test -race ./internal/lp -run '^$$' -fuzz FuzzRefuteAgainstSimplex -fuzztime $(FUZZTIME)
 	$(GO) run ./cmd/vfuzz replay internal/verify/testdata/regressions
 
 # Regenerate every paper table/figure (writes results/).

@@ -555,6 +555,9 @@ func (r *Region) solveSpec(ctx context.Context, spec *modelSpec) (*modelVars, *l
 	}
 	sol, err := mv.m.SolveOpts(ctx, lp.SolveOptions{Warm: spec.warm, Kernel: spec.opts.LPKernel})
 	r.addSolverStats(sol)
+	if r.solveHook != nil {
+		r.solveHook(spec, mv.m, sol)
+	}
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, nil, ctx.Err()

@@ -99,6 +99,11 @@ type Region struct {
 	statsMu sync.Mutex
 	solver  lp.Stats
 
+	// solveHook, when set, sees every model solveSpec solves together
+	// with its solution (nil when the solve returned none). Tests use it to
+	// capture the flow's LPs; the flow itself never sets it.
+	solveHook func(spec *modelSpec, m *lp.Model, sol *lp.Solution)
+
 	// idx is the gate-to-edge index the validator walks. It is built on
 	// first use and read-only afterwards, so concurrent validations of
 	// one region (Monte Carlo workers) share it.

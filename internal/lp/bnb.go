@@ -44,6 +44,12 @@ type SolveOptions struct {
 	// forces the historical dense B⁻¹ (the differential oracle);
 	// KernelLU forces the sparse factorized kernel.
 	Kernel Kernel
+	// SkipRefute sends every relaxation to the simplex, bypassing the
+	// bound-propagation pass that proves some LPs infeasible first
+	// (refute.go). The pass only answers Infeasible, and only where the
+	// simplex would too, so this changes the work, not the result; it
+	// is the oracle setting that tests hold the pass to.
+	SkipRefute bool
 }
 
 // Solve solves the model. Pure LPs go straight to the simplex; models
@@ -108,9 +114,13 @@ func (m *Model) SolveOpts(ctx context.Context, o SolveOptions) (*Solution, error
 	if err != nil {
 		return nil, err
 	}
+	relax := solveLP
+	if o.SkipRefute {
+		relax = simplexLP
+	}
 	if len(p.intVars) == 0 {
 		lb, ub := p.defaultBounds()
-		res, lerr := solveLP(ctx, p, lb, ub, o.Warm, o.Kernel)
+		res, lerr := relax(ctx, p, lb, ub, o.Warm, o.Kernel)
 		if lerr == errCanceled {
 			return nil, ctx.Err()
 		}
@@ -206,7 +216,7 @@ func (m *Model) SolveOpts(ctx context.Context, o SolveOptions) (*Solution, error
 						return
 					}
 				}
-				r.res, r.err = solveLP(ctx, p, lb, ub, nd.seed, o.Kernel)
+				r.res, r.err = relax(ctx, p, lb, ub, nd.seed, o.Kernel)
 			}(wi, wave[wi])
 		}
 		wg.Wait()

@@ -1,6 +1,9 @@
 package lp
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Kernel selects the basis-inverse representation used by the simplex.
 //
@@ -124,16 +127,36 @@ type denseKernel struct {
 	// lo/hi bound each row's nonzeros: binv[i][kk] == 0 outside
 	// [lo[i], hi[i]). The range only widens, except on the pivot row.
 	lo, hi []int32
-	nz     []int32 // scratch: nonzero columns of the scaled pivot row
+	nz     []int32 // scratch: nonzero columns of the pivot row or of an FTRAN rhs
+	before []int32 // scratch: before[kk] counts the rhs nonzeros below kk, length m+1
 }
 
+// densePools keeps released dense kernels for reuse, one sync.Pool per
+// row count: an m×m B⁻¹ is the bulk of a dense solve's allocation, and
+// the repair LPs of one circuit share a handful of sizes.
+var densePools sync.Map // int -> *sync.Pool
+
+func densePool(m int) *sync.Pool {
+	if pl, ok := densePools.Load(m); ok {
+		return pl.(*sync.Pool)
+	}
+	pl, _ := densePools.LoadOrStore(m, new(sync.Pool))
+	return pl.(*sync.Pool)
+}
+
+// newDenseKernel returns an identity-basis dense kernel for p, reusing a
+// released kernel of the same size when one is pooled.
 func newDenseKernel(p *problem) *denseKernel {
+	if k, ok := densePool(p.m).Get().(*denseKernel); ok {
+		return k.reuse(p)
+	}
 	k := &denseKernel{
-		p:    p,
-		binv: make([][]float64, p.m),
-		lo:   make([]int32, p.m),
-		hi:   make([]int32, p.m),
-		nz:   make([]int32, 0, p.m),
+		p:      p,
+		binv:   make([][]float64, p.m),
+		lo:     make([]int32, p.m),
+		hi:     make([]int32, p.m),
+		nz:     make([]int32, 0, p.m),
+		before: make([]int32, p.m+1),
 	}
 	flat := make([]float64, p.m*p.m)
 	for i := range k.binv {
@@ -144,9 +167,42 @@ func newDenseKernel(p *problem) *denseKernel {
 	return k
 }
 
+// reuse restores the identity B⁻¹ for a new problem of the same size.
+// Every nonzero of row i lies in [lo[i], hi[i]), so clearing those
+// ranges zeroes the whole matrix.
+func (k *denseKernel) reuse(p *problem) *denseKernel {
+	k.p = p
+	for i, row := range k.binv {
+		clear(row[k.lo[i]:k.hi[i]])
+		row[i] = 1
+		k.lo[i], k.hi[i] = int32(i), int32(i+1)
+	}
+	return k
+}
+
+// release returns the kernel to its size's pool. The caller must not
+// use it afterwards.
+func (k *denseKernel) release() {
+	m := len(k.binv)
+	k.p = nil
+	densePool(m).Put(k)
+}
+
+// ftranCol skips each row whose [lo, hi) misses the span of the
+// column's row indices (ascending, from compile): every term there is
+// 0·A_ie and the sum would be +0 anyway, for finite column values.
 func (k *denseKernel) ftranCol(e int, alpha []float64) {
 	idx, val := k.p.colIdx[e], k.p.colVal[e]
+	if len(idx) == 0 {
+		clear(alpha)
+		return
+	}
+	first, last := idx[0], idx[len(idx)-1]
 	for i := 0; i < k.p.m; i++ {
+		if last < k.lo[i] || first >= k.hi[i] {
+			alpha[i] = 0
+			continue
+		}
 		row := k.binv[i]
 		sum := 0.0
 		for kk, r := range idx {
@@ -156,13 +212,28 @@ func (k *denseKernel) ftranCol(e int, alpha []float64) {
 	}
 }
 
+// ftranVec visits only the nonzeros of rhs inside each row's [lo, hi),
+// in the same ascending order as a full-row sweep. The skipped terms are
+// 0·rhs[kk], and adding a zero never changes a sum that starts at +0, so
+// the result is bit-identical — provided rhs is finite (0·Inf is NaN).
+// The solver's rhs is finite: nonbasic columns rest at finite bounds
+// or at 0.
 func (k *denseKernel) ftranVec(rhs, x []float64) {
+	nz, before := k.nz[:0], k.before
+	for kk, v := range rhs {
+		before[kk] = int32(len(nz))
+		if v != 0 {
+			nz = append(nz, int32(kk))
+		}
+	}
+	before[len(rhs)] = int32(len(nz))
+	k.nz = nz
 	for i := 0; i < k.p.m; i++ {
-		row := k.binv[i]
+		row, hi := k.binv[i], k.hi[i]
 		sum := 0.0
-		for kk, rk := range rhs {
-			if rk != 0 {
-				sum += row[kk] * rk
+		if k.lo[i] < hi {
+			for _, kk := range nz[before[k.lo[i]]:before[hi]] {
+				sum += row[kk] * rhs[kk]
 			}
 		}
 		x[i] = sum

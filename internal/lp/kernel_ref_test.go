@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -125,8 +126,16 @@ type lockstepKernel struct {
 	scratch []float64
 }
 
-func newLockstep(t *testing.T, p *problem) *lockstepKernel {
-	return &lockstepKernel{t: t, prod: newDenseKernel(p), ref: newRefDenseKernel(p), scratch: make([]float64, p.m)}
+func newLockstep(t *testing.T, p *problem, prod *denseKernel) *lockstepKernel {
+	ref := newRefDenseKernel(p)
+	for i, row := range prod.binv {
+		for kk, v := range row {
+			if math.Float64bits(v) != math.Float64bits(ref.binv[i][kk]) {
+				t.Fatalf("fresh B⁻¹[%d][%d] = %v, not the identity", i, kk, v)
+			}
+		}
+	}
+	return &lockstepKernel{t: t, prod: prod, ref: ref, scratch: make([]float64, p.m)}
 }
 
 func (k *lockstepKernel) same(op string, got, want []float64) {
@@ -144,7 +153,17 @@ func (k *lockstepKernel) ftranCol(e int, alpha []float64) {
 	k.same("ftranCol", alpha, k.scratch)
 }
 
+// ftranVec also asserts the production kernel's precondition: the
+// row-range sweep is bit-identical to the full-row one only for a finite
+// rhs (0·Inf is NaN). The solver's rhs is b − A_N·x_N with every
+// nonbasic column resting at a finite bound or at 0.
 func (k *lockstepKernel) ftranVec(rhs, x []float64) {
+	k.t.Helper()
+	for i, v := range rhs {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			k.t.Fatalf("ftranVec rhs[%d] = %v: the row-range sweep needs a finite rhs", i, v)
+		}
+	}
 	k.prod.ftranVec(rhs, x)
 	k.ref.ftranVec(rhs, k.scratch)
 	k.same("ftranVec", x, k.scratch)
@@ -234,12 +253,32 @@ func sameResult(t *testing.T, got, want *lpResult) {
 	}
 }
 
+// reusedDenseKernel returns a dense kernel that has served a different
+// LP of p's shape — p with its objective negated, which pivots
+// elsewhere — and been reset for p, as the solver reuses a pooled one.
+// It reports how many pivots the other LP left in the kernel.
+func reusedDenseKernel(t *testing.T, p *problem) (*denseKernel, int) {
+	t.Helper()
+	other := &problem{
+		m: p.m, nv: p.nv, n: p.n, colIdx: p.colIdx, colVal: p.colVal,
+		b: p.b, lb: p.lb, ub: p.ub, cost: make([]float64, p.n),
+	}
+	for j, c := range p.cost {
+		other.cost[j] = -c
+	}
+	lb, ub := other.defaultBounds()
+	s := newSolver(nil, other, lb, ub, KernelDense)
+	res, _ := s.solve(nil)
+	return s.kern.(*denseKernel).reuse(p), res.stats.Pivots() + res.stats.CrashPivots
+}
+
 // checkDenseAgainstReference solves the model cold and then warm from
-// its own optimal basis, three ways each: in lockstep (every kernel
-// output and B⁻¹ compared after every call), and separately on the
+// its own optimal basis, four ways each: in lockstep (every kernel
+// output and B⁻¹ compared after every call) on a new or pooled kernel
+// and on a kernel reused after a different LP, and separately on the
 // production and reference kernels (pivot sequence, Stats and result
-// compared).
-func checkDenseAgainstReference(t *testing.T, m *Model) {
+// compared). It reports the pivots the reused kernel carried in.
+func checkDenseAgainstReference(t *testing.T, m *Model) (reusedPivots int) {
 	t.Helper()
 	p, err := m.compile()
 	if err != nil {
@@ -247,7 +286,10 @@ func checkDenseAgainstReference(t *testing.T, m *Model) {
 	}
 	var seed *Basis
 	for round := 0; round < 2; round++ {
-		solveWithKernel(p, seed, newLockstep(t, p))
+		solveWithKernel(p, seed, newLockstep(t, p, newDenseKernel(p)))
+		reused, pivots := reusedDenseKernel(t, p)
+		reusedPivots += pivots
+		solveWithKernel(p, seed, newLockstep(t, p, reused))
 		prod := &recordingKernel{basisKernel: newDenseKernel(p)}
 		ref := &recordingKernel{basisKernel: newRefDenseKernel(p)}
 		got, _ := solveWithKernel(p, seed, prod)
@@ -263,24 +305,30 @@ func checkDenseAgainstReference(t *testing.T, m *Model) {
 		}
 		sameResult(t, got, want)
 		if want.basis == nil {
-			return
+			return reusedPivots
 		}
 		seed = want.basis
 	}
+	return reusedPivots
 }
 
 // TestDenseKernelMatchesReference holds the sparse-row dense kernel to
 // the original full-row one, bit for bit, on the differential suite's
-// random and timing-shaped LPs.
+// random and timing-shaped LPs, including a kernel reset for reuse
+// after another LP's pivots.
 func TestDenseKernelMatchesReference(t *testing.T) {
+	reused := 0
 	for seed := 0; seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
-		checkDenseAgainstReference(t, randomLP(rng))
+		reused += checkDenseAgainstReference(t, randomLP(rng))
 	}
 	for _, n := range []int{10, 60, 200} {
 		rng := rand.New(rand.NewSource(int64(77 + n)))
 		m, _ := timingLP(rng, n)
-		checkDenseAgainstReference(t, m)
+		reused += checkDenseAgainstReference(t, m)
+	}
+	if reused == 0 {
+		t.Fatal("no reused kernel carried pivots from its previous LP")
 	}
 }
 
@@ -359,4 +407,84 @@ func BenchmarkDenseBtran(b *testing.B) {
 			reportProcs(b)
 		})
 	}
+}
+
+// BenchmarkDenseFtran runs both FTRANs against the B⁻¹ of eight points
+// along the recorded sequence of a 400-stage timing LP: ftranVec on the
+// LP's right-hand side, and ftranCol on every structural column. One op
+// is one call at each of the eight points (ftranCol: one per column).
+func BenchmarkDenseFtran(b *testing.B) {
+	p, rec := recordTimingPivots(b, 400)
+	x := make([]float64, p.m)
+	kernels := func(impl func(*problem) basisKernel) []basisKernel {
+		var ks []basisKernel
+		for part := 1; part <= 8; part++ {
+			k := impl(p)
+			rec.replay(k, len(rec.slots)*part/8)
+			ks = append(ks, k)
+		}
+		return ks
+	}
+	for _, impl := range denseImpls {
+		b.Run("op=vec/impl="+impl.name, func(b *testing.B) {
+			ks := kernels(impl.new)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, k := range ks {
+					k.ftranVec(p.b, x)
+				}
+			}
+			b.ReportMetric(float64(p.m), "rows")
+			reportProcs(b)
+		})
+		b.Run("op=col/impl="+impl.name, func(b *testing.B) {
+			ks := kernels(impl.new)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, k := range ks {
+					for e := 0; e < p.nv; e++ {
+						k.ftranCol(e, x)
+					}
+				}
+			}
+			b.ReportMetric(float64(p.m), "rows")
+			reportProcs(b)
+		})
+	}
+}
+
+// TestDenseKernelPoolConcurrent solves LPs of a few shared sizes from
+// several goroutines at once, as parallel branch-and-bound workers do,
+// so pooled kernels move between solves and goroutines. Every result
+// must match the same solve on the reference kernel bit for bit.
+func TestDenseKernelPoolConcurrent(t *testing.T) {
+	var probs []*problem
+	var want []*lpResult
+	for _, n := range []int{10, 10, 30, 30} {
+		m, _ := timingLP(rand.New(rand.NewSource(int64(len(probs)))), n)
+		p, err := m.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := solveWithKernel(p, nil, newRefDenseKernel(p))
+		probs, want = append(probs, p), append(want, r)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 8; round++ {
+				i := (w + round) % len(probs)
+				lb, ub := probs[i].defaultBounds()
+				got, _ := simplexLP(nil, probs[i], lb, ub, nil, KernelDense)
+				if got.status != want[i].status || got.stats != want[i].stats ||
+					math.Float64bits(got.obj) != math.Float64bits(want[i].obj) {
+					t.Errorf("worker %d: LP %d solved to %v obj %v, reference %v obj %v",
+						w, i, got.status, got.obj, want[i].status, want[i].obj)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

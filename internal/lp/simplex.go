@@ -61,6 +61,7 @@ type Stats struct {
 	ColdStarts   int // solves from the all-slack basis
 	Refactors    int // sparse-kernel basis refactorizations
 	Repairs      int // singular basis slots repaired with slack columns
+	Refuted      int // solves proven infeasible before the simplex (refute.go)
 }
 
 // Pivots returns the total simplex pivots across both phases (excluding
@@ -68,7 +69,9 @@ type Stats struct {
 func (s Stats) Pivots() int { return s.Phase1Pivots + s.Phase2Pivots }
 
 // WarmHitRate returns the fraction of solves that were seeded from a
-// prior basis, in [0, 1]. Returns 0 when nothing was solved.
+// prior basis, in [0, 1]. Returns 0 when nothing was solved. Only solves
+// that reached the simplex count: a refuted solve is neither warm nor
+// cold.
 func (s Stats) WarmHitRate() float64 {
 	total := s.WarmStarts + s.ColdStarts
 	if total == 0 {
@@ -90,6 +93,7 @@ func (s *Stats) Add(o Stats) {
 	s.ColdStarts += o.ColdStarts
 	s.Refactors += o.Refactors
 	s.Repairs += o.Repairs
+	s.Refuted += o.Refuted
 }
 
 // Basis is a compact snapshot of an optimal simplex basis: one status
@@ -183,6 +187,15 @@ func newSolver(ctx context.Context, p *problem, lb, ub []float64, kind Kernel) *
 		s.kern = newDenseKernel(p)
 	}
 	return s
+}
+
+// release hands the solver's dense kernel back to its pool once the
+// solve is over; nothing the solve returns refers to it.
+func (s *solver) release() {
+	if k, ok := s.kern.(*denseKernel); ok {
+		s.kern = nil
+		k.release()
+	}
 }
 
 // defaultStat picks the resting status of a nonbasic column from its
@@ -746,12 +759,26 @@ type lpResult struct {
 
 // solveLP solves one LP relaxation over the given working bounds,
 // optionally seeded from a prior basis. A nil ctx disables cancellation.
+// Bound propagation (refute.go) runs first and answers Infeasible
+// without a simplex when it finds a contradiction; it never touches
+// lb/ub, so every other solve runs exactly as simplexLP alone would.
 func solveLP(ctx context.Context, p *problem, lb, ub []float64, seed *Basis, kind Kernel) (*lpResult, error) {
+	if !p.infeasible && p.refute(lb, ub) {
+		return &lpResult{status: Infeasible, stats: Stats{Refuted: 1}}, nil
+	}
+	return simplexLP(ctx, p, lb, ub, seed, kind)
+}
+
+// simplexLP is solveLP without the refutation pass: the simplex decides
+// every LP. It is the oracle the pass is tested against.
+func simplexLP(ctx context.Context, p *problem, lb, ub []float64, seed *Basis, kind Kernel) (*lpResult, error) {
 	if p.infeasible {
 		// Singleton-row presolve found crossed bounds at compile time.
 		return &lpResult{status: Infeasible}, nil
 	}
-	return newSolver(ctx, p, lb, ub, kind).solve(seed)
+	s := newSolver(ctx, p, lb, ub, kind)
+	defer s.release()
+	return s.solve(seed)
 }
 
 // solve runs the two-phase simplex from the solver's fresh all-slack

@@ -135,6 +135,7 @@ type SolverStats struct {
 	BnBNodes    int `json:"bnb_nodes"`
 	WarmStarts  int `json:"warm_starts"`
 	ColdStarts  int `json:"cold_starts"`
+	Refuted     int `json:"refuted"`
 }
 
 func solverStatsFrom(s lp.Stats) SolverStats {
@@ -144,6 +145,7 @@ func solverStatsFrom(s lp.Stats) SolverStats {
 		BnBNodes:    s.Nodes,
 		WarmStarts:  s.WarmStarts,
 		ColdStarts:  s.ColdStarts,
+		Refuted:     s.Refuted,
 	}
 }
 

@@ -472,7 +472,10 @@ func TestListJobs(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	st, _ := submitJob(t, ts, JobRequest{Netlist: tinyBench})
-	waitTerminal(t, ts, st.ID)
+	st = waitTerminal(t, ts, st.ID)
+	if st.Result == nil {
+		t.Fatalf("job ended %s without a result: %s", st.State, st.Error)
+	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -491,6 +494,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"vsync_job_duration_seconds_count 1",
 		"# TYPE vsync_queue_depth gauge",
 		"# TYPE vsync_solver_pivots_total counter",
+		"# TYPE vsync_solver_refuted_total counter",
+		fmt.Sprintf("vsync_solver_refuted_total %d", st.Result.Solver.Refuted),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -65,7 +65,8 @@ type (
 	// BenchmarkSpec describes a synthetic benchmark circuit.
 	BenchmarkSpec = gen.Spec
 	// SolverStats aggregates LP/MIP work counters — simplex pivots,
-	// warm-start reuse, branch-and-bound nodes — behind a Result
+	// warm-start reuse, branch-and-bound nodes, LPs refuted before the
+	// simplex — behind a Result
 	// (Result.Solver) or an optimization progress event.
 	SolverStats = lp.Stats
 	// LPKernel selects the LP basis-inverse kernel (Options.LPKernel):
