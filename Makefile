@@ -26,11 +26,9 @@ build:
 test:
 	$(GO) test -cpu 1,$$(nproc) ./...
 
-# Race-instrumented run of the whole module. The LP branch-and-bound
-# time budget auto-scales under the race build tag (internal/lp/race_on.go)
-# so wall-clock slowdown does not change feasibility results. The
-# explicit -timeout covers the full-flow suite tests in internal/expt,
-# which can exceed go test's 10m default under race on a 1-CPU box.
+# Race-instrumented run of the whole module. The explicit -timeout
+# covers the full-flow suite tests in internal/expt, which can exceed
+# go test's 10m default under race on a 1-CPU box.
 race:
 	$(GO) test -race -timeout 30m ./...
 

@@ -110,9 +110,9 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  removed FFs: %d; inserted: %d FF units, %d latch units, %d buffers (%d chains replaced)\n",
 		res.RemovedFFs, res.NumFFUnits, res.NumLatchUnits, res.NumBuffers, res.BufferReplaced)
 	fmt.Fprintf(out, "  area: %.1f -> %.1f (%+.2f%%)\n", res.BaselineArea, res.Area, res.AreaDeltaPct())
-	fmt.Fprintf(out, "  solver: %d pivots, %d B&B nodes, warm-start rate %.0f%% (%d warm / %d cold), %d refuted before the simplex\n",
+	fmt.Fprintf(out, "  solver: %d pivots, %d B&B nodes, warm-start rate %.0f%% (%d warm / %d cold), %d refuted before the simplex, %d B&B searches stopped at the node cap\n",
 		res.Solver.Pivots(), res.Solver.Nodes, 100*res.Solver.WarmHitRate(),
-		res.Solver.WarmStarts, res.Solver.ColdStarts, res.Solver.Refuted)
+		res.Solver.WarmStarts, res.Solver.ColdStarts, res.Solver.Refuted, res.Solver.NodeCapped)
 	fmt.Fprintf(out, "  runtime: %v\n", res.Runtime)
 
 	if *verify > 0 {

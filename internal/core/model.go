@@ -547,7 +547,7 @@ func unitCostEquivalent(r *Region, kind UnitKind) float64 {
 
 // solveSpec builds and solves the model, returning the decoded variables
 // and solution (nil solution when infeasible). Cancelling ctx interrupts
-// branch-and-bound between waves and the simplex between iterations.
+// branch-and-bound between nodes and the simplex between iterations.
 func (r *Region) solveSpec(ctx context.Context, spec *modelSpec) (*modelVars, *lp.Solution, error) {
 	mv, err := r.buildModel(spec)
 	if err != nil {

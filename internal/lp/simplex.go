@@ -62,6 +62,7 @@ type Stats struct {
 	Refactors    int // sparse-kernel basis refactorizations
 	Repairs      int // singular basis slots repaired with slack columns
 	Refuted      int // solves proven infeasible before the simplex (refute.go)
+	NodeCapped   int // branch-and-bound searches stopped at the node cap (bnb.go)
 }
 
 // Pivots returns the total simplex pivots across both phases (excluding
@@ -94,6 +95,7 @@ func (s *Stats) Add(o Stats) {
 	s.Refactors += o.Refactors
 	s.Repairs += o.Repairs
 	s.Refuted += o.Refuted
+	s.NodeCapped += o.NodeCapped
 }
 
 // Basis is a compact snapshot of an optimal simplex basis: one status

@@ -136,6 +136,7 @@ type SolverStats struct {
 	WarmStarts  int `json:"warm_starts"`
 	ColdStarts  int `json:"cold_starts"`
 	Refuted     int `json:"refuted"`
+	NodeCapped  int `json:"node_capped"`
 }
 
 func solverStatsFrom(s lp.Stats) SolverStats {
@@ -146,6 +147,7 @@ func solverStatsFrom(s lp.Stats) SolverStats {
 		WarmStarts:  s.WarmStarts,
 		ColdStarts:  s.ColdStarts,
 		Refuted:     s.Refuted,
+		NodeCapped:  s.NodeCapped,
 	}
 }
 

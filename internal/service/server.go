@@ -180,6 +180,7 @@ type Server struct {
 	mWarmStarts  *Counter
 	mColdStarts  *Counter
 	mRefuted     *Counter
+	mNodeCapped  *Counter
 	mLatency     *Histogram
 
 	mECOIncremental *Counter
@@ -218,6 +219,7 @@ func New(ctx context.Context, cfg Config) *Server {
 	s.mWarmStarts = s.reg.Counter("vsync_solver_warm_starts_total", "LP solves seeded from a prior basis.")
 	s.mColdStarts = s.reg.Counter("vsync_solver_cold_starts_total", "LP solves from the all-slack basis.")
 	s.mRefuted = s.reg.Counter("vsync_solver_refuted_total", "LP solves proven infeasible by bound propagation before the simplex.")
+	s.mNodeCapped = s.reg.Counter("vsync_solver_node_capped_total", "Branch-and-bound searches stopped at the node cap.")
 	s.mLatency = s.reg.Histogram("vsync_job_duration_seconds", "End-to-end job latency (submission to terminal state).",
 		[]float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300})
 	s.reg.Gauge("vsync_queue_depth", "Jobs waiting for a worker.", func() float64 { return float64(s.sched.QueueDepth()) })
@@ -537,6 +539,7 @@ func (s *Server) finishJob(j *job, onlyFrom, state string, res *JobResult, errMs
 		s.mWarmStarts.Add(float64(res.Solver.WarmStarts))
 		s.mColdStarts.Add(float64(res.Solver.ColdStarts))
 		s.mRefuted.Add(float64(res.Solver.Refuted))
+		s.mNodeCapped.Add(float64(res.Solver.NodeCapped))
 	}
 	for _, w := range waiters {
 		s.completeOne(w, "", state, res, errMsg)

@@ -496,6 +496,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE vsync_solver_pivots_total counter",
 		"# TYPE vsync_solver_refuted_total counter",
 		fmt.Sprintf("vsync_solver_refuted_total %d", st.Result.Solver.Refuted),
+		"# TYPE vsync_solver_node_capped_total counter",
+		fmt.Sprintf("vsync_solver_node_capped_total %d", st.Result.Solver.NodeCapped),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -66,7 +66,7 @@ type (
 	BenchmarkSpec = gen.Spec
 	// SolverStats aggregates LP/MIP work counters — simplex pivots,
 	// warm-start reuse, branch-and-bound nodes, LPs refuted before the
-	// simplex — behind a Result
+	// simplex, searches stopped at the node cap — behind a Result
 	// (Result.Solver) or an optimization progress event.
 	SolverStats = lp.Stats
 	// LPKernel selects the LP basis-inverse kernel (Options.LPKernel):
