@@ -332,13 +332,14 @@ func BenchmarkLPSolveBoxed(b *testing.B) {
 	b.ReportMetric(warmPct/float64(b.N), "warmstart-hit-%")
 }
 
-// BenchmarkLPSolveLarge measures both basis kernels on a ~54k-variable,
-// ~12000-row timing LP (6000 chain stages × 8 padding columns each) —
-// the scale the big-circuit tier produces, far past the KernelAuto
-// crossover. The basic chain of free arrival variables makes B⁻¹ fill
-// into a dense triangle, so the dense kernel pays O(m²) per pivot while
-// the LU factors stay near-bidiagonal — the structural gap the sparse
-// kernel exists for. Both sub-benchmarks solve the same instance and
+// BenchmarkLPSolveLarge forces each basis kernel in turn
+// (lp.SolveOptions.Kernel, an oracle setting no production caller uses)
+// on a ~54k-variable, ~12000-row timing LP (6000 chain stages × 8
+// padding columns each), far past the 2048-row size at which the solver
+// itself switches to LU. The basic chain of free arrival variables
+// makes B⁻¹ fill into a dense triangle, so the dense kernel pays O(m²)
+// per pivot while the LU factors stay near-bidiagonal — the structural
+// gap the sparse kernel exists for. Both sub-benchmarks solve the same instance and
 // must land on the same optimum; the dense run additionally reports
 // lu-speedup-x, its per-solve wall clock over the LU kernel's.
 // pivots/op and refactors/op document the update/refactorize policy at

@@ -13,14 +13,15 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 // TestGoldenHelp pins the -help usage text, so any flag addition,
-// removal or rewording (e.g. the -lp-kernel switch) shows up in review
-// as a golden diff rather than slipping by unnoticed.
+// removal or rewording shows up in review as a golden diff rather than
+// slipping by unnoticed.
 func TestGoldenHelp(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-help"}, &buf); err != nil {
@@ -44,8 +45,30 @@ func TestGoldenHelp(t *testing.T) {
 		t.Errorf("usage differs from %s (run with -update after intentional changes)\n--- got ---\n%s\n--- want ---\n%s",
 			path, buf.Bytes(), want)
 	}
-	if !bytes.Contains(want, []byte("-lp-kernel")) {
-		t.Error("golden help does not document the -lp-kernel switch")
+}
+
+// TestRejectsBadInput pins the errors for inputs vsync cannot run: each
+// must fail before any optimization with a message naming what is
+// allowed, rather than panic or quietly run something else.
+func TestRejectsBadInput(t *testing.T) {
+	tiny := filepath.Join("testdata", "tiny.bench")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-verify-lanes", "5000", tiny}, "-verify-lanes 5000 outside 1..4096"},
+		{[]string{"-verify-lanes", "0", tiny}, "-verify-lanes 0 outside 1..4096"},
+		{[]string{"-bench", "nosuch"}, `unknown benchmark "nosuch" (one of [s5378 `},
+		{nil, "need a circuit file or -bench name (one of [s5378 "},
+	} {
+		var buf bytes.Buffer
+		err := run(c.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("vsync %v: error %v, want one containing %q", c.args, err, c.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("vsync %v printed before failing:\n%s", c.args, buf.String())
+		}
 	}
 }
 

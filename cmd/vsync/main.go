@@ -6,8 +6,7 @@
 //
 //	vsync [-lib file] [-bench name] [-o out.bench] [-step 0.005]
 //	      [-frac 0.95] [-no-latches] [-no-replace] [-verify n]
-//	      [-verify-lanes n] [-lp-kernel auto|dense|lu]
-//	      [-eco edits.txt [-eco-refine]] [circuit.bench]
+//	      [-verify-lanes n] [-eco edits.txt [-eco-refine]] [circuit.bench]
 //
 // With -eco, the initial optimization is kept as a live session; the
 // edit script (one resize/swap/rewire/insertff/removeff per line) is
@@ -25,6 +24,8 @@ import (
 	"time"
 
 	"virtualsync"
+	"virtualsync/internal/gen"
+	"virtualsync/internal/sim"
 )
 
 func main() {
@@ -49,7 +50,6 @@ func run(args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "abort the period search after this long (0 = no limit)")
 	ecoPath := fs.String("eco", "", "ECO edit script to apply and re-optimize incrementally")
 	ecoRefine := fs.Bool("eco-refine", false, "with -eco: search below the held period after the edit")
-	lpKernel := fs.String("lp-kernel", "auto", "LP basis kernel: auto (size the kernel per model), dense, or lu (sparse LU for large models)")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -57,9 +57,8 @@ func run(args []string, out io.Writer) error {
 		}
 		return err
 	}
-	kernel, err := virtualsync.ParseLPKernel(*lpKernel)
-	if err != nil {
-		return err
+	if *verifyLanes < 1 || *verifyLanes > sim.MaxLanes {
+		return fmt.Errorf("-verify-lanes %d outside 1..%d", *verifyLanes, sim.MaxLanes)
 	}
 
 	ctx := context.Background()
@@ -92,7 +91,6 @@ func run(args []string, out io.Writer) error {
 	opts.SelectFrac = *frac
 	opts.UseLatches = !*noLatches
 	opts.BufferReplace = !*noReplace
-	opts.LPKernel = kernel
 
 	if *ecoPath != "" {
 		return runECO(ctx, out, base, lib, opts, *step, *ecoPath, *ecoRefine, *verify, *verifyLanes, *outPath, *timeout)
@@ -196,7 +194,7 @@ func runECO(ctx context.Context, out io.Writer, base *virtualsync.Circuit, lib *
 // verifyPair runs functional-equivalence simulation over lanes
 // independent stimulus vectors and reports the outcome.
 func verifyPair(out io.Writer, a, b *virtualsync.Circuit, lib *virtualsync.Library, Ta, Tb float64, cycles, lanes int) error {
-	rep, err := virtualsync.CheckEquivalence(a, b, lib, Ta, Tb, cycles, 8, max(lanes, 1), 1)
+	rep, err := virtualsync.CheckEquivalence(a, b, lib, Ta, Tb, cycles, 8, lanes, 1)
 	if err != nil {
 		return err
 	}
@@ -245,6 +243,11 @@ func loadLib(path string) (*virtualsync.Library, error) {
 
 func loadCircuit(benchName, path string) (*virtualsync.Circuit, error) {
 	if benchName != "" {
+		// SpecByName also knows the big tier, which BenchmarkNames
+		// does not list.
+		if _, ok := gen.SpecByName(benchName); !ok {
+			return nil, fmt.Errorf("unknown benchmark %q (one of %v)", benchName, virtualsync.BenchmarkNames())
+		}
 		return virtualsync.GenerateBenchmark(benchName), nil
 	}
 	if path == "" {

@@ -88,7 +88,7 @@ func TestRepairRefutationSound(t *testing.T) {
 			}
 			refuted++
 			oracle, err := m.SolveOpts(context.Background(),
-				lp.SolveOptions{Warm: spec.warm, Kernel: spec.opts.LPKernel, SkipRefute: true})
+				lp.SolveOptions{Warm: spec.warm, SkipRefute: true})
 			if err != nil && oracle.Status != lp.IterLimit {
 				t.Fatalf("%s: oracle solve: %v", name, err)
 			}

@@ -20,11 +20,12 @@ type SolveOptions struct {
 	// Warm seeds the root relaxation (and, transitively, the whole tree)
 	// from a prior solve's Basis. Incompatible bases are ignored.
 	Warm *Basis
-	// Kernel selects the basis-inverse representation (see Kernel).
-	// The zero value KernelAuto picks by problem size: dense below
-	// luAutoRows constraint rows, sparse LU at or above. KernelDense
-	// forces the historical dense B⁻¹ (the differential oracle);
-	// KernelLU forces the sparse factorized kernel.
+	// Kernel forces a basis-inverse representation (see Kernel). The
+	// zero value KernelAuto lets the solver pick by problem size: dense
+	// below luAutoRows constraint rows, sparse LU at or above. Forcing
+	// KernelDense or KernelLU is the oracle setting the differential
+	// tests, fuzzers and kernel benchmarks use; production callers
+	// leave it zero.
 	Kernel Kernel
 	// SkipRefute sends every relaxation to the simplex, bypassing the
 	// bound-propagation pass that proves some LPs infeasible first

@@ -1,11 +1,8 @@
 package lp
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// Kernel selects the basis-inverse representation used by the simplex.
+// Kernel names a basis-inverse representation for the simplex.
 //
 // The dense kernel keeps an explicit m×m B⁻¹ updated by rank-one pivots
 // (O(m²) per pivot, O(m²) memory) — simple, battle-tested, and the
@@ -14,14 +11,16 @@ import (
 // periodic refactorization (O(nnz) per pivot on the near-triangular
 // timing bases), which is what lets the solver reach 100k-variable
 // instances.
+//
+// The solver picks the kernel itself (KernelAuto, by constraint-row
+// count). Forcing one is an oracle setting for tests and benchmarks
+// (SolveOptions.Kernel); no production caller does.
 type Kernel int
 
 // Basis kernels.
 const (
 	// KernelAuto picks the dense kernel below luAutoRows constraint rows
-	// and the sparse LU kernel at or above it. Small problems keep the
-	// historical dense pivot sequence bit-for-bit; large problems ride
-	// the sparse kernel without any caller opt-in.
+	// and the sparse LU kernel at or above it.
 	KernelAuto Kernel = iota
 	// KernelDense forces the dense B⁻¹ kernel (the differential oracle).
 	KernelDense
@@ -30,37 +29,10 @@ const (
 )
 
 // luAutoRows is the row count at which KernelAuto switches from the
-// dense kernel to the sparse LU kernel. The crossover is conservative:
-// every paper-suite timing LP stays dense (preserving historical pivot
-// sequences and golden outputs exactly), while the big-circuit tier and
-// anything else at industrial scale gets the sparse kernel.
+// dense kernel to the sparse LU kernel. Every paper-suite timing LP
+// stays below it (the largest, on s38584, has 1075 rows); big100k is the
+// only generated circuit whose LPs cross it.
 const luAutoRows = 2048
-
-func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelDense:
-		return "dense"
-	case KernelLU:
-		return "lu"
-	}
-	return "unknown"
-}
-
-// ParseKernel parses a kernel name ("auto", "dense", "lu") as used by
-// CLI flags.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case "dense":
-		return KernelDense, nil
-	case "lu":
-		return KernelLU, nil
-	}
-	return KernelAuto, fmt.Errorf("lp: unknown kernel %q (want auto, dense or lu)", s)
-}
 
 // resolve maps KernelAuto onto a concrete kernel for an m-row problem.
 func (k Kernel) resolve(m int) Kernel {

@@ -29,7 +29,7 @@ func checkRefutation(t testing.TB, p *problem, lb, ub []float64) (refuted, infea
 			infeasible = res.status == Infeasible
 		}
 		if refuted && res.status != Infeasible && res.status != IterLimit {
-			t.Fatalf("refuted an LP the %v simplex finds %v (obj %g)", kind, res.status, res.obj)
+			t.Fatalf("refuted an LP the simplex (kernel %d) finds %v (obj %g)", kind, res.status, res.obj)
 		}
 	}
 	return refuted, infeasible

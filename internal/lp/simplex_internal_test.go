@@ -134,8 +134,11 @@ func TestMaximizeNegatesCompiledCost(t *testing.T) {
 // alike (the point of the kernel abstraction: one suite, two backends).
 func bothKernels(t *testing.T, f func(t *testing.T, kern Kernel)) {
 	t.Helper()
-	for _, kern := range []Kernel{KernelDense, KernelLU} {
-		t.Run(kern.String(), func(t *testing.T) { f(t, kern) })
+	for _, k := range []struct {
+		name string
+		kern Kernel
+	}{{"dense", KernelDense}, {"lu", KernelLU}} {
+		t.Run(k.name, func(t *testing.T) { f(t, k.kern) })
 	}
 }
 
@@ -305,24 +308,7 @@ func TestIncompatibleSeedIgnored(t *testing.T) {
 	})
 }
 
-func TestParseKernel(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Kernel
-		err  bool
-	}{
-		{"", KernelAuto, false},
-		{"auto", KernelAuto, false},
-		{"dense", KernelDense, false},
-		{"lu", KernelLU, false},
-		{"sparse", KernelAuto, true},
-	}
-	for _, c := range cases {
-		got, err := ParseKernel(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Fatalf("ParseKernel(%q) = %v, %v", c.in, got, err)
-		}
-	}
+func TestKernelResolve(t *testing.T) {
 	if KernelAuto.resolve(luAutoRows) != KernelLU ||
 		KernelAuto.resolve(luAutoRows-1) != KernelDense ||
 		KernelDense.resolve(1<<20) != KernelDense ||

@@ -69,10 +69,6 @@ type (
 	// simplex, searches stopped at the node cap — behind a Result
 	// (Result.Solver) or an optimization progress event.
 	SolverStats = lp.Stats
-	// LPKernel selects the LP basis-inverse kernel (Options.LPKernel):
-	// KernelAuto sizes it per model, KernelDense forces the dense B⁻¹,
-	// KernelLU forces the sparse LU factorization.
-	LPKernel = lp.Kernel
 	// ProgressEvent is one period-search step reported to the observer of
 	// OptimizeObserved.
 	ProgressEvent = core.ProgressEvent
@@ -96,17 +92,6 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 
 // DefaultLibrary returns the built-in 45nm-style library.
 func DefaultLibrary() *Library { return celllib.Default() }
-
-// Re-exported LP kernel selectors; see LPKernel.
-const (
-	KernelAuto  = lp.KernelAuto
-	KernelDense = lp.KernelDense
-	KernelLU    = lp.KernelLU
-)
-
-// ParseLPKernel parses an LPKernel name ("auto", "dense", "lu") as used
-// by the vsync -lp-kernel flag.
-func ParseLPKernel(s string) (LPKernel, error) { return lp.ParseKernel(s) }
 
 // LoadLibrary parses a library in the text format of internal/celllib.
 func LoadLibrary(r io.Reader) (*Library, error) { return celllib.ParseLibrary(r) }
@@ -230,13 +215,16 @@ func VerifyEquivalence(a, b *Circuit, lib *Library, Ta, Tb float64, cycles, warm
 type EquivReport = sim.EquivReport
 
 // CheckEquivalence is VerifyEquivalence widened to lanes independent
-// stimulus vectors (up to sim.MaxLanes = 4096; 1 runs the event engine
-// alone). Lane 0 uses seed itself, reproducing the VerifyEquivalence
-// stimulus. Wider lanes run bit-parallel, calibrated on lane 0 against
-// the event engine, which also confirms every failure; see
-// sim.CheckEquivalence. An empty Mismatches means equivalent over the
-// report's Lanes.
+// stimulus vectors (1..sim.MaxLanes = 4096; 1 runs the event engine
+// alone, and any other count is an error). Lane 0 uses seed itself,
+// reproducing the VerifyEquivalence stimulus. Wider lanes run
+// bit-parallel, calibrated on lane 0 against the event engine, which
+// also confirms every failure; see sim.CheckEquivalence. An empty
+// Mismatches means equivalent over the report's Lanes.
 func CheckEquivalence(a, b *Circuit, lib *Library, Ta, Tb float64, cycles, warmup, lanes int, seed int64) (*EquivReport, error) {
+	if lanes < 1 || lanes > sim.MaxLanes {
+		return nil, fmt.Errorf("virtualsync: %d equivalence lanes outside 1..%d", lanes, sim.MaxLanes)
+	}
 	return sim.CheckEquivalence(a, b, lib, Ta, Tb, warmup, sim.LaneStimulus(a, cycles, 0, seed, lanes))
 }
 

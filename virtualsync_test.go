@@ -76,6 +76,38 @@ z = BUF(g)
 	}
 }
 
+// TestFacadeCheckEquivalenceLaneRange holds CheckEquivalence to its
+// lane range: a count outside 1..4096 is an error, not a quiet
+// single-lane check.
+func TestFacadeCheckEquivalenceLaneRange(t *testing.T) {
+	src := `
+INPUT(a)
+OUTPUT(z)
+f = DFF(a)
+z = NOT(f)
+`
+	c, err := virtualsync.LoadCircuit(strings.NewReader(src), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := virtualsync.DefaultLibrary()
+	r, err := virtualsync.AnalyzeTiming(c, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := r.MinPeriod
+	for _, lanes := range []int{0, 4097} {
+		if _, err := virtualsync.CheckEquivalence(c, c, lib, T, T, 16, 2, lanes, 1); err == nil ||
+			!strings.Contains(err.Error(), "outside 1..4096") {
+			t.Errorf("lanes %d: error %v, want the 1..4096 range", lanes, err)
+		}
+	}
+	rep, err := virtualsync.CheckEquivalence(c, c, lib, T, T, 16, 2, 4096, 1)
+	if err != nil || len(rep.Mismatches) != 0 || rep.Lanes != 4096 {
+		t.Fatalf("lanes 4096: %+v, %v", rep, err)
+	}
+}
+
 func TestFacadeBenchmarkNames(t *testing.T) {
 	names := virtualsync.BenchmarkNames()
 	if len(names) != 10 {
