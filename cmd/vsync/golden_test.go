@@ -10,11 +10,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"virtualsync"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -100,5 +105,60 @@ func TestGoldenECOReport(t *testing.T) {
 	if !bytes.Equal(want, buf.Bytes()) {
 		t.Errorf("output differs from %s (run with -update after intentional changes)\n--- got ---\n%s\n--- want ---\n%s",
 			path, buf.Bytes(), want)
+	}
+}
+
+// TestVerifyWarmupFollowsResult: the plain and the -eco path both check
+// equivalence from the optimized result's own warm-up
+// (Result.VerifyWarmup), not from a fixed cycle count.
+func TestVerifyWarmupFollowsResult(t *testing.T) {
+	tiny := filepath.Join("testdata", "tiny.bench")
+	script := filepath.Join("testdata", "eco.edits")
+	var got []int
+	checkEquivalence = func(a, b *virtualsync.Circuit, lib *virtualsync.Library, Ta, Tb float64, cycles, warmup, lanes int, seed int64) (*virtualsync.EquivReport, error) {
+		got = append(got, warmup)
+		return virtualsync.CheckEquivalence(a, b, lib, Ta, Tb, cycles, warmup, lanes, seed)
+	}
+	defer func() { checkEquivalence = virtualsync.CheckEquivalence }()
+	for _, args := range [][]string{
+		{"-skip-baseline", "-verify", "32", tiny},
+		{"-skip-baseline", "-eco", script, "-verify", "32", tiny},
+	} {
+		if err := run(args, io.Discard); err != nil {
+			t.Fatalf("vsync %v: %v", args, err)
+		}
+	}
+
+	// The same deterministic flows through the facade give the results
+	// whose warm-ups vsync must have used.
+	ctx := context.Background()
+	lib := virtualsync.DefaultLibrary()
+	c, err := loadCircuit("", tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := virtualsync.DefaultOptions()
+	plain, err := virtualsync.OptimizeCtx(ctx, c, lib, opts, 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits, err := virtualsync.ParseEdits(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := virtualsync.NewSession(ctx, c, lib, opts, 0.005, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eco, _, err := sess.Reoptimize(ctx, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{plain.VerifyWarmup(), eco.VerifyWarmup()}; !slices.Equal(got, want) {
+		t.Fatalf("vsync checked from warm-ups %v, want the results' %v", got, want)
 	}
 }

@@ -114,7 +114,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  runtime: %v\n", res.Runtime)
 
 	if *verify > 0 {
-		if err := verifyPair(out, base, res.Circuit, lib, res.BaselinePeriod, res.Period, *verify, *verifyLanes); err != nil {
+		if err := verifyPair(out, base, res, lib, *verify, *verifyLanes); err != nil {
 			return err
 		}
 	}
@@ -184,17 +184,22 @@ func runECO(ctx context.Context, out io.Writer, base *virtualsync.Circuit, lib *
 	fmt.Fprintf(out, "  T: %.2f -> %.2f; area: %.1f -> %.1f\n", cold.Period, res.Period, cold.Area, res.Area)
 
 	if verify > 0 {
-		if err := verifyPair(out, sess.Circuit, res.Circuit, lib, res.BaselinePeriod, res.Period, verify, verifyLanes); err != nil {
+		if err := verifyPair(out, sess.Circuit, res, lib, verify, verifyLanes); err != nil {
 			return err
 		}
 	}
 	return writeOut(out, outPath, res.Circuit)
 }
 
-// verifyPair runs functional-equivalence simulation over lanes
-// independent stimulus vectors and reports the outcome.
-func verifyPair(out io.Writer, a, b *virtualsync.Circuit, lib *virtualsync.Library, Ta, Tb float64, cycles, lanes int) error {
-	rep, err := virtualsync.CheckEquivalence(a, b, lib, Ta, Tb, cycles, 8, lanes, 1)
+// checkEquivalence is the equivalence check verifyPair runs; tests
+// replace it to observe the arguments.
+var checkEquivalence = virtualsync.CheckEquivalence
+
+// verifyPair runs functional-equivalence simulation of res against base,
+// the circuit it was optimized from, over lanes independent stimulus
+// vectors from the result's own warm-up onward, and reports the outcome.
+func verifyPair(out io.Writer, base *virtualsync.Circuit, res *virtualsync.Result, lib *virtualsync.Library, cycles, lanes int) error {
+	rep, err := checkEquivalence(base, res.Circuit, lib, res.BaselinePeriod, res.Period, cycles, res.VerifyWarmup(), lanes, 1)
 	if err != nil {
 		return err
 	}

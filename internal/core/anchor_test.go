@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"virtualsync/internal/netlist"
@@ -84,7 +85,7 @@ func TestFig3AnchorExtraction(t *testing.T) {
 func TestFig3AnchorArithmetic(t *testing.T) {
 	c := fig3Circuit(t)
 	lib := paperLib(t)
-	res, err := OptimizeAtPeriod(c, lib, 10, DefaultOptions())
+	res, err := OptimizeAtPeriod(context.Background(), c, lib, 10, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,7 +252,7 @@ func (p *Plan) buildChainNearest(target float64) ([]int, float64) {
 			for _, d := range tail {
 				total += buf.Options[d].Delay
 			}
-			if e := mathAbs(total - target); e < bestErr-1e-12 {
+			if e := math.Abs(total - target); e < bestErr-1e-12 {
 				chain := make([]int, k, k+len(tail))
 				chain = append(chain, tail...)
 				bestChain, bestDelay, bestErr = chain, total, e
@@ -260,13 +260,6 @@ func (p *Plan) buildChainNearest(target float64) ([]int, float64) {
 		}
 	}
 	return bestChain, bestDelay
-}
-
-func mathAbs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // repairChains tries to fix validation failures by nudging the chain on

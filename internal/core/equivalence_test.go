@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 func TestWavePipeFunctionalEquivalence(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.02)
+	res, err := Optimize(context.Background(), c, lib, DefaultOptions(), 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestWavePipeFunctionalEquivalence(t *testing.T) {
 func TestLoopFunctionalEquivalence(t *testing.T) {
 	c := loopCircuit(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.01)
+	res, err := Optimize(context.Background(), c, lib, DefaultOptions(), 0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestLoopFunctionalEquivalence(t *testing.T) {
 func TestEquivalenceAcrossSeeds(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.02)
+	res, err := Optimize(context.Background(), c, lib, DefaultOptions(), 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestLatchNonZeroPhaseEquivalence(t *testing.T) {
 	lib := latchPhaseLib(t)
 	opts := DefaultOptions()
 	opts.Phases = []float64{0.25, 0.5, 0.75}
-	res, err := Optimize(c, lib, opts, 0.02)
+	res, err := Optimize(context.Background(), c, lib, opts, 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestMultiCycleWindowEquivalence(t *testing.T) {
 	// replace with sequential units (Section 5.4), which is what puts a
 	// unit on the stalled bypass edge.
 	lib.Cell("BUF").Options[0].Delay = 1
-	res, err := OptimizeAtPeriod(c, lib, 15, DefaultOptions())
+	res, err := OptimizeAtPeriod(context.Background(), c, lib, 15, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

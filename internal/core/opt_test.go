@@ -13,7 +13,7 @@ func TestOptimizeAtPeriodWavePipe(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
 	// Baseline (margined) is 21*1.1 = 23.1. Try a strong reduction: T=10.
-	res, err := OptimizeAtPeriod(c, lib, 10, DefaultOptions())
+	res, err := OptimizeAtPeriod(context.Background(), c, lib, 10, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestOptimizeAtPeriodInfeasible(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
 	// T=5 is below the wave bound (23.1 + 1.1)/3 = 8.07.
-	res, err := OptimizeAtPeriod(c, lib, 5, DefaultOptions())
+	res, err := OptimizeAtPeriod(context.Background(), c, lib, 5, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestOptimizeAtPeriodInfeasible(t *testing.T) {
 func TestOptimizeWavePipeSearch(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.02)
+	res, err := Optimize(context.Background(), c, lib, DefaultOptions(), 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +82,13 @@ func TestOptimizeCtxCancelled(t *testing.T) {
 	lib := paperLib(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := OptimizeCtx(ctx, c, lib, DefaultOptions(), 0.02); !errors.Is(err, context.Canceled) {
+	if _, err := Optimize(ctx, c, lib, DefaultOptions(), 0.02, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search returned %v, want context.Canceled", err)
 	}
 	// An ample deadline must not disturb the result.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel2()
-	res, err := OptimizeCtx(ctx2, c, lib, DefaultOptions(), 0.02)
+	res, err := Optimize(ctx2, c, lib, DefaultOptions(), 0.02, nil)
 	if err != nil || res == nil {
 		t.Fatalf("search under ample deadline failed: %v %v", res, err)
 	}
@@ -97,7 +97,7 @@ func TestOptimizeCtxCancelled(t *testing.T) {
 func TestOptimizeLoopNeedsSequentialUnit(t *testing.T) {
 	c := loopCircuit(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.005)
+	res, err := Optimize(context.Background(), c, lib, DefaultOptions(), 0.005, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestOptimizeLoopNeedsSequentialUnit(t *testing.T) {
 func TestPlanCounters(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	res, err := OptimizeAtPeriod(c, lib, 10, DefaultOptions())
+	res, err := OptimizeAtPeriod(context.Background(), c, lib, 10, DefaultOptions())
 	if err != nil || res == nil {
 		t.Fatalf("optimize: %v, %v", res, err)
 	}
@@ -140,7 +140,7 @@ func TestPlanCounters(t *testing.T) {
 func TestOptimizedNetlistStructure(t *testing.T) {
 	c := loopCircuit(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.01)
+	res, err := Optimize(context.Background(), c, lib, DefaultOptions(), 0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,5 +155,27 @@ func TestOptimizedNetlistStructure(t *testing.T) {
 	if nFF != res.NumFFUnits || nLatch != res.NumLatchUnits {
 		t.Fatalf("netlist units (%d ff, %d latch) != plan (%d, %d)",
 			nFF, nLatch, res.NumFFUnits, res.NumLatchUnits)
+	}
+}
+
+// TestVerifyWarmup pins the equivalence warm-up rule every front end
+// uses: max(4, maxΛ+3) over the region's edges.
+func TestVerifyWarmup(t *testing.T) {
+	for _, tc := range []struct {
+		lambdas []int
+		want    int
+	}{
+		{[]int{0, 0}, 4},
+		{[]int{1, 0, 1}, 4},
+		{[]int{2, 7, 3}, 10},
+	} {
+		r := &Region{}
+		for _, l := range tc.lambdas {
+			r.Edges = append(r.Edges, Edge{Lambda: l})
+		}
+		res := &Result{Plan: &Plan{R: r}}
+		if got := res.VerifyWarmup(); got != tc.want {
+			t.Errorf("lambdas %v: warm-up %d, want %d", tc.lambdas, got, tc.want)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"virtualsync/internal/gen"
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/retime"
-	"virtualsync/internal/sizing"
 )
 
 // propagateJacobi is the validator's original full-sweep Jacobi
@@ -433,17 +432,11 @@ func benchRegion(b testing.TB, name string, tweak func(*gen.Spec)) *Region {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sizing.Size(c, lib); err != nil {
-		b.Fatal(err)
-	}
-	rt, _, err := retime.Retime(c, lib)
+	base, err := retime.Baseline(c, lib)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sizing.Size(rt, lib); err != nil {
-		b.Fatal(err)
-	}
-	r, err := Extract(rt, lib, ExtractOptions{SelectFrac: DefaultOptions().SelectFrac})
+	r, err := Extract(base.Circuit, lib, ExtractOptions{SelectFrac: DefaultOptions().SelectFrac})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func TestResultSolverStats(t *testing.T) {
 	lib := paperLib(t)
 	c := wavePipe(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.02)
+	res, err := Optimize(context.Background(), c, lib, DefaultOptions(), 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestOptimizeObserved(t *testing.T) {
 	lib := paperLib(t)
 	c := wavePipe(t)
 	var events []ProgressEvent
-	res, err := OptimizeObserved(context.Background(), c, lib, DefaultOptions(), 0.02,
+	res, err := Optimize(context.Background(), c, lib, DefaultOptions(), 0.02,
 		func(ev ProgressEvent) { events = append(events, ev) })
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/retime"
 	"virtualsync/internal/sim"
-	"virtualsync/internal/sizing"
 )
 
 // randPipe builds a small random 2-stage circuit with reconvergence, used
@@ -78,17 +78,12 @@ func TestRandomFullFlowEquivalence(t *testing.T) {
 	nSeeds := int64(30)
 	for seed := int64(1); seed <= nSeeds; seed++ {
 		c := randPipe(seed)
-		if _, err := sizing.Size(c, lib); err != nil {
-			t.Fatalf("seed %d: sizing: %v", seed, err)
-		}
-		base, _, err := retime.Retime(c, lib)
+		b, err := retime.Baseline(c, lib)
 		if err != nil {
-			t.Fatalf("seed %d: retime: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if _, err := sizing.Size(base, lib); err != nil {
-			t.Fatalf("seed %d: resize: %v", seed, err)
-		}
-		res, err := Optimize(base, lib, DefaultOptions(), 0.01)
+		base := b.Circuit
+		res, err := Optimize(context.Background(), base, lib, DefaultOptions(), 0.01, nil)
 		if err != nil {
 			continue // e.g. circuit too trivial for selection
 		}

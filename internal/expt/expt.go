@@ -37,7 +37,6 @@ type Config struct {
 	// VerifyCycles > 0 enables functional-equivalence simulation of every
 	// optimized circuit over that many cycles.
 	VerifyCycles int
-	VerifySeed   int64
 
 	// Progress, when non-nil, receives one line per finished circuit.
 	Progress io.Writer
@@ -56,7 +55,6 @@ func DefaultConfig() Config {
 		Opts:         core.DefaultOptions(),
 		StepFrac:     0.005,
 		VerifyCycles: 48,
-		VerifySeed:   1,
 	}
 }
 
@@ -104,10 +102,13 @@ type CircuitResult struct {
 	Mismatches   int
 }
 
-// RunCircuit executes the full per-circuit pipeline: generate, size,
-// retime, size again (the retiming&sizing baseline), run VirtualSync's
-// period search, verify functional equivalence, and collect the row.
-// Cancelling ctx aborts the period search with ctx.Err().
+// verifySeed seeds the equivalence stimulus, as in vsync and the service.
+const verifySeed = 1
+
+// RunCircuit executes the full per-circuit pipeline: generate, the
+// retiming&sizing baseline, VirtualSync's period search, functional
+// equivalence simulation, and collects the row. Cancelling ctx aborts the
+// period search with ctx.Err().
 func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult, error) {
 	start := time.Now()
 	c, err := gen.Generate(spec)
@@ -117,20 +118,13 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 	st := c.Stats()
 	row := &CircuitResult{Name: spec.Name, NS: st.DFFs, NG: st.Gates}
 
-	// Baseline: sizing + retiming + sizing (paper: "after thorough sizing
-	// and retiming").
-	if _, err := sizing.Size(c, cfg.Lib); err != nil {
-		return nil, fmt.Errorf("%s: sizing: %v", spec.Name, err)
-	}
-	base, _, err := retime.Retime(c, cfg.Lib)
+	b, err := retime.Baseline(c, cfg.Lib)
 	if err != nil {
-		return nil, fmt.Errorf("%s: retiming: %v", spec.Name, err)
+		return nil, fmt.Errorf("%s: %v", spec.Name, err)
 	}
-	if _, err := sizing.Size(base, cfg.Lib); err != nil {
-		return nil, fmt.Errorf("%s: post-retiming sizing: %v", spec.Name, err)
-	}
+	base := b.Circuit
 
-	res, err := core.OptimizeCtx(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac)
+	res, err := core.Optimize(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: virtualsync: %v", spec.Name, err)
 	}
@@ -151,21 +145,15 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 	}
 
 	// Fig. 8: VirtualSync at the baseline's own period.
-	same, err := core.OptimizeAtPeriodCtx(ctx, base, cfg.Lib, res.BaselinePeriod, cfg.Opts)
+	same, err := core.OptimizeAtPeriod(ctx, base, cfg.Lib, res.BaselinePeriod, cfg.Opts)
 	if err == nil && same != nil {
 		row.AreaSamePeriod = same.Area
 		row.BaselineAreaSamePeriod = same.BaselineArea
 	}
 
 	if cfg.VerifyCycles > 0 {
-		warmup := 4
-		for _, e := range res.Plan.R.Edges {
-			if e.Lambda+3 > warmup {
-				warmup = e.Lambda + 3
-			}
-		}
 		ms, err := sim.VerifyEquivalence(base, res.Circuit, cfg.Lib,
-			res.BaselinePeriod, res.Period, cfg.VerifyCycles, warmup, cfg.VerifySeed)
+			res.BaselinePeriod, res.Period, cfg.VerifyCycles, res.VerifyWarmup(), verifySeed)
 		if err != nil {
 			return nil, fmt.Errorf("%s: equivalence sim: %v", spec.Name, err)
 		}
@@ -188,17 +176,9 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 // successful row in suite order and the error joins every per-circuit
 // failure (errors.Join); it is nil only when all circuits succeeded.
 func RunSuite(ctx context.Context, names []string, cfg Config) ([]*CircuitResult, error) {
-	specs := gen.PaperSuite()
-	if len(names) > 0 {
-		var sel []gen.Spec
-		for _, n := range names {
-			s, ok := gen.SpecByName(n)
-			if !ok {
-				return nil, fmt.Errorf("expt: unknown benchmark %q", n)
-			}
-			sel = append(sel, s)
-		}
-		specs = sel
+	specs, err := suiteSpecs(names)
+	if err != nil {
+		return nil, err
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -239,6 +219,23 @@ func RunSuite(ctx context.Context, names []string, cfg Config) ([]*CircuitResult
 		}
 	}
 	return out, errors.Join(errs...)
+}
+
+// suiteSpecs resolves benchmark names to generator specs; an empty list
+// selects the paper's whole suite.
+func suiteSpecs(names []string) ([]gen.Spec, error) {
+	if len(names) == 0 {
+		return gen.PaperSuite(), nil
+	}
+	specs := make([]gen.Spec, 0, len(names))
+	for _, n := range names {
+		s, ok := gen.SpecByName(n)
+		if !ok {
+			return nil, fmt.Errorf("expt: unknown benchmark %q", n)
+		}
+		specs = append(specs, s)
+	}
+	return specs, nil
 }
 
 // scheduleOrder returns spec indices sorted by decreasing circuit size
@@ -307,7 +304,7 @@ func RunFig1(opts core.Options) (*Fig1Result, error) {
 	if out.Retimed, err = sta.MinPeriod(retimed, lib); err != nil {
 		return nil, err
 	}
-	res, err := core.Optimize(retimed, lib, opts, 0.005)
+	res, err := core.Optimize(context.Background(), retimed, lib, opts, 0.005, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +333,7 @@ func RunFig3(opts core.Options) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.OptimizeAtPeriod(c, lib, 10, opts)
+	res, err := core.OptimizeAtPeriod(context.Background(), c, lib, 10, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -8,10 +8,8 @@ import (
 
 	"virtualsync/internal/core"
 	"virtualsync/internal/gen"
-	"virtualsync/internal/sizing"
-	"virtualsync/internal/variation"
-
 	"virtualsync/internal/retime"
+	"virtualsync/internal/variation"
 )
 
 // YieldResult is one circuit's Monte Carlo timing-yield comparison: the
@@ -23,22 +21,14 @@ type YieldResult struct {
 }
 
 // RunYield prepares each named benchmark exactly like RunCircuit
-// (sizing, retiming, sizing), runs the VirtualSync period search, and
+// (the retiming&sizing baseline), runs the VirtualSync period search, and
 // then measures both circuits' timing yield with the Monte Carlo engine
 // in internal/variation. An empty names list runs the paper's whole
 // suite.
 func RunYield(ctx context.Context, names []string, cfg Config, mc variation.Config) ([]*YieldResult, error) {
-	specs := gen.PaperSuite()
-	if len(names) > 0 {
-		var sel []gen.Spec
-		for _, n := range names {
-			s, ok := gen.SpecByName(n)
-			if !ok {
-				return nil, fmt.Errorf("expt: unknown benchmark %q", n)
-			}
-			sel = append(sel, s)
-		}
-		specs = sel
+	specs, err := suiteSpecs(names)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*YieldResult, 0, len(specs))
 	for _, spec := range specs {
@@ -46,17 +36,12 @@ func RunYield(ctx context.Context, names []string, cfg Config, mc variation.Conf
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sizing.Size(c, cfg.Lib); err != nil {
-			return nil, fmt.Errorf("%s: sizing: %v", spec.Name, err)
-		}
-		base, _, err := retime.Retime(c, cfg.Lib)
+		b, err := retime.Baseline(c, cfg.Lib)
 		if err != nil {
-			return nil, fmt.Errorf("%s: retiming: %v", spec.Name, err)
+			return nil, fmt.Errorf("%s: %v", spec.Name, err)
 		}
-		if _, err := sizing.Size(base, cfg.Lib); err != nil {
-			return nil, fmt.Errorf("%s: post-retiming sizing: %v", spec.Name, err)
-		}
-		res, err := core.OptimizeCtx(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac)
+		base := b.Circuit
+		res, err := core.Optimize(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: virtualsync: %v", spec.Name, err)
 		}

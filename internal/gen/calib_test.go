@@ -7,7 +7,6 @@ import (
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/retime"
-	"virtualsync/internal/sizing"
 	"virtualsync/internal/sta"
 )
 
@@ -31,16 +30,11 @@ func TestCalibrationReport(t *testing.T) {
 				wallReq = r.MaxArrival[n.Fanins[0]]
 			}
 		})
-		if _, err := sizing.Size(c, lib); err != nil {
-			t.Fatal(err)
-		}
-		rt, _, err := retime.Retime(c, lib)
+		b, err := retime.Baseline(c, lib)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sizing.Size(rt, lib); err != nil {
-			t.Fatal(err)
-		}
+		rt := b.Circuit
 		r2, err := sta.Analyze(rt, lib)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package retime implements minimum-period retiming of synchronous
 // circuits in the Leiserson-Saxe framework: the FEAS feasibility algorithm
 // combined with a binary search over the clock period. Together with the
-// sizing package it forms the "retiming&sizing" baseline that VirtualSync
-// is compared against in the paper.
+// sizing package it forms the "retiming&sizing" baseline (Baseline) that
+// VirtualSync is compared against in the paper.
 //
 // The retiming graph uses one vertex per combinational gate plus a host
 // vertex aggregating all primary inputs and outputs; edge weights count
@@ -19,6 +19,7 @@ import (
 
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/netlist"
+	"virtualsync/internal/sizing"
 	"virtualsync/internal/sta"
 )
 
@@ -408,4 +409,35 @@ func Retime(c *netlist.Circuit, lib *celllib.Library) (*netlist.Circuit, float64
 		return c.Clone(), before.MinPeriod, nil
 	}
 	return out, period, nil
+}
+
+// BaselineResult is the outcome of the retiming&sizing baseline flow.
+type BaselineResult struct {
+	Circuit *netlist.Circuit // optimized copy; the input is left untouched
+	Period  float64          // minimum period after the flow
+	Area    float64
+}
+
+// Baseline runs the paper's retiming&sizing baseline ("after thorough
+// sizing and retiming"): discrete gate sizing, minimum-period retiming,
+// and a final sizing pass with area recovery. The input circuit is not
+// modified.
+func Baseline(c *netlist.Circuit, lib *celllib.Library) (*BaselineResult, error) {
+	work := c.Clone()
+	if _, err := sizing.Size(work, lib); err != nil {
+		return nil, fmt.Errorf("sizing: %w", err)
+	}
+	rt, _, err := Retime(work, lib)
+	if err != nil {
+		return nil, fmt.Errorf("retiming: %w", err)
+	}
+	res, err := sizing.Size(rt, lib)
+	if err != nil {
+		return nil, fmt.Errorf("post-retiming sizing: %w", err)
+	}
+	area, err := lib.CircuitArea(rt)
+	if err != nil {
+		return nil, err
+	}
+	return &BaselineResult{Circuit: rt, Period: res.PeriodAfter, Area: area}, nil
 }

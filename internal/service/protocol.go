@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"time"
 
 	"virtualsync/internal/lp"
@@ -39,13 +40,13 @@ type Params struct {
 	// SkipBaseline treats the input as already retimed and sized.
 	SkipBaseline bool `json:"skip_baseline,omitempty"`
 	// VerifyCycles runs functional-equivalence simulation over this many
-	// cycles (0: skip).
+	// cycles (0: skip; negative is rejected).
 	VerifyCycles int `json:"verify_cycles,omitempty"`
 	// VerifyLanes selects how many independent stimulus lanes the
 	// equivalence simulation covers (0 or 1: the single historical
-	// vector on the scalar event engine; >1: bit-parallel engines with
-	// event-engine lane-0 calibration, capped at sim.MaxLanes). Ignored
-	// when VerifyCycles is 0.
+	// vector on the scalar event engine; up to sim.MaxLanes: bit-parallel
+	// engines with event-engine lane-0 calibration; anything else is
+	// rejected). Ignored when VerifyCycles is 0.
 	VerifyLanes int `json:"verify_lanes,omitempty"`
 	// TimeoutMS bounds the job end to end; 0 uses the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -66,19 +67,23 @@ func (p Params) Normalize() Params {
 	if p.BufferReplace == nil {
 		p.BufferReplace = &t
 	}
-	if p.VerifyCycles < 0 {
-		p.VerifyCycles = 0
-	}
-	if p.VerifyLanes < 0 {
-		p.VerifyLanes = 0
-	}
-	if p.VerifyLanes > sim.MaxLanes {
-		p.VerifyLanes = sim.MaxLanes
-	}
 	if p.TimeoutMS < 0 {
 		p.TimeoutMS = 0
 	}
 	return p
+}
+
+// Validate rejects verification settings outside their documented
+// ranges. They are refused rather than clamped, because a clamped value
+// would silently change what the job checks.
+func (p Params) Validate() error {
+	if p.VerifyCycles < 0 {
+		return fmt.Errorf("verify_cycles %d is negative", p.VerifyCycles)
+	}
+	if p.VerifyLanes < 0 || p.VerifyLanes > sim.MaxLanes {
+		return fmt.Errorf("verify_lanes %d outside 0..%d", p.VerifyLanes, sim.MaxLanes)
+	}
+	return nil
 }
 
 // JobRequest is the POST /v1/jobs payload.

@@ -18,7 +18,6 @@ import (
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/retime"
 	"virtualsync/internal/sim"
-	"virtualsync/internal/sizing"
 )
 
 // Config sizes the optimization server.
@@ -351,6 +350,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if err := req.Params.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, "invalid params: %v", err)
+		return
+	}
 	params := req.Params.Normalize()
 	var key string
 	if c != nil {
@@ -629,17 +632,11 @@ func (s *Server) executePlain(ctx context.Context, j *job, c *netlist.Circuit, e
 	work := c
 	if !j.params.SkipBaseline {
 		j.setStage(StageBaseline)
-		if _, err := sizing.Size(work, j.lib); err != nil {
-			return nil, fmt.Errorf("sizing: %w", err)
-		}
-		rt, _, err := retime.Retime(work, j.lib)
+		b, err := retime.Baseline(work, j.lib)
 		if err != nil {
-			return nil, fmt.Errorf("retiming: %w", err)
+			return nil, err
 		}
-		if _, err := sizing.Size(rt, j.lib); err != nil {
-			return nil, fmt.Errorf("post-retiming sizing: %w", err)
-		}
-		work = rt
+		work = b.Circuit
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -712,7 +709,7 @@ func (s *Server) executeECO(ctx context.Context, j *job) (*JobResult, error) {
 		if _, err := work.ApplyEdits(j.edits); err != nil {
 			return nil, err
 		}
-		return s.executePlain(ctx, j, work, &ECOInfo{Incremental: false, Edits: len(j.edits)})
+		return s.executePlain(ctx, j, work, ecoInfo(nil, len(j.edits), false))
 	}
 
 	j.setStage(StageSolving)
@@ -726,15 +723,7 @@ func (s *Server) executeECO(ctx context.Context, j *job) (*JobResult, error) {
 	if st.Fallback {
 		s.mECOFallback.Inc()
 	}
-	out, err := s.buildResult(ctx, j, sess.Circuit, res, &ECOInfo{
-		Incremental:   true,
-		Edits:         len(j.edits),
-		Spliced:       st.Spliced,
-		ConeNodes:     st.ConeNodes,
-		Probes:        st.Probes,
-		RecoverySteps: st.RecoverySteps,
-		Fallback:      st.Fallback,
-	})
+	out, err := s.buildResult(ctx, j, sess.Circuit, res, ecoInfo(st, len(j.edits), false))
 	if err != nil {
 		s.sessions.Put(meta, sess)
 		return nil, err
@@ -779,21 +768,31 @@ func (s *Server) tryNearMiss(ctx context.Context, j *job, work *netlist.Circuit)
 	if st.Fallback {
 		s.mECOFallback.Inc()
 	}
-	out, err = s.buildResult(ctx, j, sess.Circuit, res, &ECOInfo{
-		Incremental:   true,
-		NearMiss:      true,
-		Edits:         len(edits),
-		Spliced:       st.Spliced,
-		ConeNodes:     st.ConeNodes,
-		Probes:        st.Probes,
-		RecoverySteps: st.RecoverySteps,
-		Fallback:      st.Fallback,
-	})
+	out, err = s.buildResult(ctx, j, sess.Circuit, res, ecoInfo(st, len(edits), true))
 	if err != nil {
 		return nil, true, err
 	}
 	s.storeSession(j, j.key, sess)
 	return out, true, nil
+}
+
+// ecoInfo describes how an edit-carrying job was served: st is the
+// incremental re-optimization's report, or nil when the edits went
+// through the cold pipeline.
+func ecoInfo(st *core.ECOStats, edits int, nearMiss bool) *ECOInfo {
+	if st == nil {
+		return &ECOInfo{Edits: edits}
+	}
+	return &ECOInfo{
+		Incremental:   true,
+		NearMiss:      nearMiss,
+		Edits:         edits,
+		Spliced:       st.Spliced,
+		ConeNodes:     st.ConeNodes,
+		Probes:        st.Probes,
+		RecoverySteps: st.RecoverySteps,
+		Fallback:      st.Fallback,
+	}
 }
 
 func (s *Server) coreOptions(j *job) core.Options {
@@ -836,13 +835,7 @@ func (s *Server) buildResult(ctx context.Context, j *job, base *netlist.Circuit,
 	}
 	if j.params.VerifyCycles > 0 {
 		j.setStage(StageVerifying)
-		warmup := 4
-		for _, e := range res.Plan.R.Edges {
-			if e.Lambda+3 > warmup {
-				warmup = e.Lambda + 3
-			}
-		}
-		if err := s.verifyEquivalence(j, base, res, out, warmup); err != nil {
+		if err := s.verifyEquivalence(j, base, res, out); err != nil {
 			return nil, fmt.Errorf("equivalence sim: %w", err)
 		}
 	}
@@ -857,12 +850,12 @@ func (s *Server) buildResult(ctx context.Context, j *job, base *netlist.Circuit,
 // verifyEquivalence fills out's equivalence fields from
 // sim.CheckEquivalence over VerifyLanes stimulus lanes (0 or 1: the
 // historical single vector on the event oracle).
-func (s *Server) verifyEquivalence(j *job, base *netlist.Circuit, res *core.Result, out *JobResult, warmup int) error {
+func (s *Server) verifyEquivalence(j *job, base *netlist.Circuit, res *core.Result, out *JobResult) error {
 	const verifySeed = 1
 	lanes := max(j.params.VerifyLanes, 1)
 	stims := sim.LaneStimulus(base, j.params.VerifyCycles, 0, verifySeed, lanes)
 	er, err := sim.CheckEquivalence(base, res.Circuit, j.lib,
-		res.BaselinePeriod, res.Period, warmup, stims)
+		res.BaselinePeriod, res.Period, res.VerifyWarmup(), stims)
 	if err != nil {
 		return err
 	}

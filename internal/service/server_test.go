@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"virtualsync/internal/sim"
 )
 
 // tinyBench is a minimal pipeline the full flow (baseline + period
@@ -179,10 +181,28 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		{"invalid netlist", `{"netlist": "g1 = FROB(x)\n"}`},
 		{"undriven net", `{"netlist": "OUTPUT(z)\n"}`},
 		{"invalid library", fmt.Sprintf(`{"netlist": %q, "library": "not a library"}`, tinyBench)},
+		{"negative verify_cycles", fmt.Sprintf(`{"netlist": %q, "params": {"verify_cycles": -1}}`, tinyBench)},
+		{"negative verify_lanes", fmt.Sprintf(`{"netlist": %q, "params": {"verify_lanes": -1}}`, tinyBench)},
+		{"verify_lanes above max", fmt.Sprintf(`{"netlist": %q, "params": {"verify_lanes": 4097}}`, tinyBench)},
 	}
 	for _, tc := range cases {
 		if _, code := postBody(t, ts, []byte(tc.body)); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", tc.name, code)
+		}
+	}
+}
+
+// TestParamsValidateBounds: the verification settings are accepted over
+// their whole documented range, including both ends.
+func TestParamsValidateBounds(t *testing.T) {
+	for _, p := range []Params{{}, {VerifyCycles: 48, VerifyLanes: 1}, {VerifyLanes: sim.MaxLanes}} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v: %v", p, err)
+		}
+	}
+	for _, p := range []Params{{VerifyCycles: -1}, {VerifyLanes: -1}, {VerifyLanes: sim.MaxLanes + 1}} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%+v accepted", p)
 		}
 	}
 }

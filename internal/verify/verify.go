@@ -15,6 +15,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -304,16 +305,16 @@ func (ck *Checker) simStage(d *gen.Decoded, res *core.Result, rep *Report) {
 // means no feasible solution at the probed period — a Skip, not a bug.
 func (ck *Checker) optimize(d *gen.Decoded) (*core.Result, error) {
 	if ck.Search {
-		return core.Optimize(d.Circuit, ck.Lib, ck.Opts, d.StepFrac)
+		return core.Optimize(context.Background(), d.Circuit, ck.Lib, ck.Opts, d.StepFrac, nil)
 	}
 	rgn, err := core.Extract(d.Circuit, ck.Lib, core.ExtractOptions{SelectFrac: ck.Opts.SelectFrac})
 	if err != nil {
 		return nil, err
 	}
 	T0 := rgn.Baseline.MinPeriod * ck.Opts.Ru
-	res, err := core.OptimizeAtPeriod(d.Circuit, ck.Lib, T0*(1-d.TFrac), ck.Opts)
+	res, err := core.OptimizeAtPeriod(context.Background(), d.Circuit, ck.Lib, T0*(1-d.TFrac), ck.Opts)
 	if err == nil && res == nil && d.TFrac > 0 {
-		res, err = core.OptimizeAtPeriod(d.Circuit, ck.Lib, T0, ck.Opts)
+		res, err = core.OptimizeAtPeriod(context.Background(), d.Circuit, ck.Lib, T0, ck.Opts)
 	}
 	return res, err
 }

@@ -15,7 +15,7 @@
 //   - a 45nm-style cell library                    (DefaultLibrary, LoadLibrary)
 //   - static timing analysis                       (AnalyzeTiming, MinPeriod)
 //   - the retiming&sizing baseline                 (RetimeAndSize)
-//   - the VirtualSync optimizer                    (Optimize, OptimizeAtPeriod)
+//   - the VirtualSync optimizer                    (Optimize, OptimizeCtx, OptimizeObserved)
 //   - event-driven functional verification         (VerifyEquivalence)
 //   - the paper's benchmark suite generator        (GenerateBenchmark, BenchmarkNames)
 //
@@ -41,7 +41,6 @@ import (
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/retime"
 	"virtualsync/internal/sim"
-	"virtualsync/internal/sizing"
 	"virtualsync/internal/sta"
 )
 
@@ -114,34 +113,19 @@ func AnalyzeTiming(c *Circuit, lib *Library) (*TimingResult, error) { return sta
 // classic fully-synchronous timing.
 func MinPeriod(c *Circuit, lib *Library) (float64, error) { return sta.MinPeriod(c, lib) }
 
-// BaselineResult is the outcome of the retiming&sizing baseline flow.
-type BaselineResult struct {
-	Circuit *Circuit // optimized copy; the input is left untouched
-	Period  float64  // minimum period after the flow
-	Area    float64
-}
+// BaselineResult is the outcome of the retiming&sizing baseline flow:
+// the optimized copy of the circuit, its minimum period and its area.
+type BaselineResult = retime.BaselineResult
 
 // RetimeAndSize runs the paper's baseline: discrete gate sizing, minimum-
 // period retiming, and a final sizing pass with area recovery. The input
 // circuit is not modified.
 func RetimeAndSize(c *Circuit, lib *Library) (*BaselineResult, error) {
-	work := c.Clone()
-	if _, err := sizing.Size(work, lib); err != nil {
-		return nil, fmt.Errorf("virtualsync: sizing: %w", err)
-	}
-	rt, _, err := retime.Retime(work, lib)
+	b, err := retime.Baseline(c, lib)
 	if err != nil {
-		return nil, fmt.Errorf("virtualsync: retiming: %w", err)
+		return nil, fmt.Errorf("virtualsync: %w", err)
 	}
-	res, err := sizing.Size(rt, lib)
-	if err != nil {
-		return nil, fmt.Errorf("virtualsync: post-retiming sizing: %w", err)
-	}
-	area, err := lib.CircuitArea(rt)
-	if err != nil {
-		return nil, err
-	}
-	return &BaselineResult{Circuit: rt, Period: res.PeriodAfter, Area: area}, nil
+	return b, nil
 }
 
 // Optimize runs the full VirtualSync flow with the paper's period search:
@@ -149,31 +133,21 @@ func RetimeAndSize(c *Circuit, lib *Library) (*BaselineResult, error) {
 // reduced in 0.5 % steps until the model becomes infeasible, and the last
 // feasible, validated solution is returned.
 func Optimize(c *Circuit, lib *Library, opts Options) (*Result, error) {
-	return core.Optimize(c, lib, opts, 0.005)
+	return core.Optimize(context.Background(), c, lib, opts, 0.005, nil)
 }
 
-// OptimizeStep is Optimize with an explicit period-search step fraction.
-func OptimizeStep(c *Circuit, lib *Library, opts Options, stepFrac float64) (*Result, error) {
-	return core.Optimize(c, lib, opts, stepFrac)
-}
-
-// OptimizeCtx is OptimizeStep under a context: cancellation or deadline
-// expiry aborts the period search with ctx.Err().
+// OptimizeCtx is Optimize under a context and with an explicit
+// period-search step fraction: cancellation or deadline expiry aborts the
+// period search with ctx.Err().
 func OptimizeCtx(ctx context.Context, c *Circuit, lib *Library, opts Options, stepFrac float64) (*Result, error) {
-	return core.OptimizeCtx(ctx, c, lib, opts, stepFrac)
+	return core.Optimize(ctx, c, lib, opts, stepFrac, nil)
 }
 
 // OptimizeObserved is OptimizeCtx with a progress observer: obs (when
 // non-nil) receives one event per probed period plus one for the final
 // buffer-replacement pass, each carrying cumulative solver statistics.
 func OptimizeObserved(ctx context.Context, c *Circuit, lib *Library, opts Options, stepFrac float64, obs ProgressFunc) (*Result, error) {
-	return core.OptimizeObserved(ctx, c, lib, opts, stepFrac, obs)
-}
-
-// OptimizeAtPeriod attempts to realize one specific clock period; it
-// returns (nil, nil) when the period is infeasible under the model.
-func OptimizeAtPeriod(c *Circuit, lib *Library, T float64, opts Options) (*Result, error) {
-	return core.OptimizeAtPeriod(c, lib, T, opts)
+	return core.Optimize(ctx, c, lib, opts, stepFrac, obs)
 }
 
 // NewSession runs the full VirtualSync period search on c and keeps the
